@@ -18,6 +18,7 @@ use bishop_model::{
     select_accumulate, select_accumulate_reference, spike_matmul, spike_matmul_reference,
     DatasetKind, ModelConfig, ModelWorkload, SpikingSelfAttention,
 };
+use bishop_neuron::{LifConfig, LifLayer, LifNeuron};
 use bishop_spiketensor::words::simd;
 use bishop_spiketensor::{DenseMatrix, SpikeTraceGenerator, TensorShape, TraceProfile};
 
@@ -203,6 +204,37 @@ fn bench_perf_ratios(_c: &mut Criterion) {
             black_box(out);
         },
     );
+
+    // The spike generator: T = 4 steps of a fresh layer, one `LifNeuron` per
+    // position against one dispatched `lif_step` call per step, at the
+    // serving model's plane (N·D = 8192) and a 4× larger one.
+    for units in [8_192usize, 32_768] {
+        let plane = DenseMatrix::random_uniform(1, units, 1.0, &mut rng);
+        let input = plane.as_slice();
+        let lif = LifConfig::default();
+        measure(
+            &format!("lif_step_{units}"),
+            10,
+            &mut || {
+                let mut neurons = vec![LifNeuron::new(lif); units];
+                let mut spikes = 0usize;
+                for _ in 0..4 {
+                    for (neuron, &x) in neurons.iter_mut().zip(input) {
+                        spikes += usize::from(neuron.step(x));
+                    }
+                }
+                black_box(spikes);
+            },
+            &mut || {
+                let mut layer = LifLayer::new(units, lif);
+                let mut fired = vec![0u64; units.div_ceil(64)];
+                for _ in 0..4 {
+                    layer.step_packed(input, &mut fired);
+                }
+                black_box(fired);
+            },
+        );
+    }
 
     // Record which dispatch tier produced the `word` timings, so numbers
     // from different hosts are comparable.

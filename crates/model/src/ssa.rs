@@ -218,8 +218,13 @@ impl SpikingSelfAttention {
 
     /// Word-parallel attention scores restricted to the feature range
     /// `d_start..d_end` (one head's features), without materialising head
-    /// slices: operand rows are zero-copy [`bishop_spiketensor::RowBits`]
-    /// sub-row views.
+    /// slices.
+    ///
+    /// Each Q/K row's logical head words are assembled **once** from its
+    /// zero-copy [`bishop_spiketensor::RowBits`] sub-row view
+    /// (`N·⌈width/64⌉` words per side), so the `tokens²` pair loop is a
+    /// plain AND + popcount over aligned words whatever the head's bit
+    /// offset — a 32-feature head never sits on a word boundary.
     pub fn attention_scores_in(
         q: &SpikeTensor,
         k: &SpikeTensor,
@@ -229,49 +234,31 @@ impl SpikingSelfAttention {
     ) -> DenseMatrix {
         assert_eq!(q.shape(), k.shape(), "Q and K must have identical shapes");
         let tokens = q.shape().tokens;
-        let q_rows: Vec<_> = (0..tokens)
-            .map(|i| q.row_feature_slice(t, i, d_start, d_end))
-            .collect();
-        let k_rows: Vec<_> = (0..tokens)
-            .map(|j| k.row_feature_slice(t, j, d_start, d_end))
-            .collect();
         let mut s = DenseMatrix::zeros(tokens, tokens);
-
-        // Word-aligned feature range (the whole-tensor case whenever
-        // `D % 64 == 0`): every row pairs with every other row, so hoist
-        // the logical-word assembly and the dispatch-table lookup out of
-        // the `tokens²` pair loop and AND+popcount the raw packed words.
-        let q_aligned: Option<Vec<&[u64]>> = q_rows.iter().map(|r| r.aligned_words()).collect();
-        let k_aligned: Option<Vec<&[u64]>> = k_rows.iter().map(|r| r.aligned_words()).collect();
-        if let (Some(q_words), Some(k_words)) = (q_aligned, k_aligned) {
-            let kernels = simd::active();
-            let long = (d_end - d_start) / 64 >= simd::DISPATCH_MIN_WORDS;
-            for (i, qi) in q_words.iter().enumerate() {
-                let out_row = s.row_mut(i);
-                for (j, kj) in k_words.iter().enumerate() {
-                    let overlap = if long {
-                        kernels.and_popcount(qi, kj) as u32
-                    } else {
-                        qi.iter()
-                            .zip(kj.iter())
-                            .map(|(a, b)| (a & b).count_ones())
-                            .sum()
-                    };
-                    if overlap > 0 {
-                        out_row[j] = overlap as f32;
-                    }
-                }
-            }
+        let row_words = (d_end - d_start).div_ceil(64);
+        if row_words == 0 {
             return s;
         }
-
-        for (i, q_row) in q_rows.iter().enumerate() {
-            let out_row = s.row_mut(i);
-            for (j, k_row) in k_rows.iter().enumerate() {
-                let overlap = q_row.dot(k_row);
-                if overlap > 0 {
-                    out_row[j] = overlap as f32;
-                }
+        let head_words = |x: &SpikeTensor| -> Vec<u64> {
+            (0..tokens)
+                .flat_map(|n| {
+                    let row = x.row_feature_slice(t, n, d_start, d_end);
+                    (0..row_words).map(move |i| row.word(i))
+                })
+                .collect()
+        };
+        let (q_words, k_words) = (head_words(q), head_words(k));
+        let kernels = simd::active();
+        let long = row_words >= simd::DISPATCH_MIN_WORDS;
+        for (i, qi) in q_words.chunks_exact(row_words).enumerate() {
+            let pairs = s.row_mut(i).iter_mut().zip(k_words.chunks_exact(row_words));
+            for (out, kj) in pairs {
+                let overlap = if long {
+                    kernels.and_popcount(qi, kj) as u32
+                } else {
+                    qi.iter().zip(kj).map(|(a, b)| (a & b).count_ones()).sum()
+                };
+                *out = overlap as f32;
             }
         }
         s

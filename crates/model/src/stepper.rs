@@ -19,7 +19,7 @@
 //! therefore produces exactly the logits of one long request.
 
 use bishop_neuron::LifLayer;
-use bishop_spiketensor::{DenseMatrix, SpikeTensor, TensorShape};
+use bishop_spiketensor::DenseMatrix;
 
 use crate::parallel::ComputePool;
 use crate::projection::{spike_matmul, spike_matmul_with};
@@ -255,7 +255,7 @@ impl<'a> TransformerStepper<'a> {
     pub fn step(&mut self) -> StepOutcome {
         let config = self.model.config();
         let (tokens, features) = (config.tokens, config.features);
-        let mut x = step_lif(&mut self.tokenizer, &self.charge);
+        let mut x = self.tokenizer.step_planes([&self.charge]);
 
         for (block, layers) in self.model.blocks().iter().zip(self.blocks.iter_mut()) {
             let ssa = block.ssa();
@@ -264,13 +264,10 @@ impl<'a> TransformerStepper<'a> {
             // are independent, so they fan out as a triple; the LIF steps
             // stay on the caller (they mutate per-layer membrane state).
             let weights = [ssa.wq().weight(), ssa.wk().weight(), ssa.wv().weight()];
-            let mut qkv = self
-                .pool
-                .run(3, |i| spike_matmul(&x, 0, weights[i]))
-                .into_iter();
-            let q = step_lif(&mut layers.wq, &qkv.next().expect("three integrations"));
-            let k = step_lif(&mut layers.wk, &qkv.next().expect("three integrations"));
-            let v = step_lif(&mut layers.wv, &qkv.next().expect("three integrations"));
+            let qkv = self.pool.run(3, |i| spike_matmul(&x, 0, weights[i]));
+            let q = layers.wq.step_planes([&qkv[0]]);
+            let k = layers.wk.step_planes([&qkv[1]]);
+            let v = layers.wv.step_planes([&qkv[2]]);
 
             // One timestep of multi-head attention via the shared
             // score/select-accumulate kernels, accumulated in exactly the
@@ -305,22 +302,16 @@ impl<'a> TransformerStepper<'a> {
                     select_accumulate(&mut head_output, &s, scale, &v, 0, d0, d1);
                 }
             }
-            let o_temp = step_lif(&mut layers.o_temp, &head_output);
-            let ssa_out = step_lif(
-                &mut layers.wo,
-                &spike_matmul_with(&o_temp, 0, ssa.wo().weight(), &self.pool),
-            );
+            let o_temp = layers.o_temp.step_planes([&head_output]);
+            let projected = spike_matmul_with(&o_temp, 0, ssa.wo().weight(), &self.pool);
+            let ssa_out = layers.wo.step_planes([&projected]);
             let mlp_input = x
                 .or(&ssa_out)
                 .expect("SSA output shape matches its input shape");
-            let hidden = step_lif(
-                &mut layers.fc1,
-                &spike_matmul_with(&mlp_input, 0, mlp.fc1().weight(), &self.pool),
-            );
-            let mlp_out = step_lif(
-                &mut layers.fc2,
-                &spike_matmul_with(&hidden, 0, mlp.fc2().weight(), &self.pool),
-            );
+            let fc1 = spike_matmul_with(&mlp_input, 0, mlp.fc1().weight(), &self.pool);
+            let hidden = layers.fc1.step_planes([&fc1]);
+            let fc2 = spike_matmul_with(&hidden, 0, mlp.fc2().weight(), &self.pool);
+            let mlp_out = layers.fc2.step_planes([&fc2]);
             x = mlp_input
                 .or(&mlp_out)
                 .expect("MLP output shape matches its input shape");
@@ -390,29 +381,6 @@ impl<'a> TransformerStepper<'a> {
             .unwrap_or(0);
         PooledReadout { logits, prediction }
     }
-}
-
-/// Steps one LIF layer on a dense `N × D` synaptic-integration plane and
-/// packs the firing vector into a 1-timestep spike tensor. Flattening is
-/// token-major, matching `lif_over_time`'s neuron layout exactly.
-fn step_lif(layer: &mut LifLayer, integration: &DenseMatrix) -> SpikeTensor {
-    let (tokens, features) = (integration.rows(), integration.cols());
-    let mut flat = vec![0.0f32; tokens * features];
-    for n in 0..tokens {
-        for d in 0..features {
-            flat[n * features + d] = integration.get(n, d);
-        }
-    }
-    let fired = layer.step(&flat);
-    let mut plane = SpikeTensor::zeros(TensorShape::new(1, tokens, features));
-    for n in 0..tokens {
-        for d in 0..features {
-            if fired[n * features + d] {
-                plane.set(0, n, d, true);
-            }
-        }
-    }
-    plane
 }
 
 #[cfg(test)]

@@ -9,7 +9,7 @@
 //! embedding dimension `D` at every timestep, with persistent LIF state
 //! across timesteps.
 
-use bishop_neuron::{lif_over_time, LifConfig};
+use bishop_neuron::{LifConfig, LifLayer};
 use bishop_spiketensor::{DenseMatrix, SpikeTensor};
 use rand::Rng;
 
@@ -94,8 +94,8 @@ impl SpikingTokenizer {
             self.patch_features()
         );
         let charge = patches.matmul(&self.weight);
-        let per_step: Vec<DenseMatrix> = (0..self.timesteps).map(|_| charge.clone()).collect();
-        lif_over_time(&per_step, self.lif)
+        LifLayer::new(charge.rows() * charge.cols(), self.lif)
+            .step_planes(std::iter::repeat_n(&charge, self.timesteps))
     }
 }
 

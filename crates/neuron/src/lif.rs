@@ -1,6 +1,7 @@
 //! Leaky Integrate-and-Fire dynamics (Eq. 1–2 of the paper).
 
-use bishop_spiketensor::{DenseMatrix, SpikeTensor, TensorShape};
+use bishop_spiketensor::words::simd;
+use bishop_spiketensor::{DenseMatrix, LifParams, SpikeTensor, TensorShape};
 
 /// Parameters of the discretised LIF neuron.
 ///
@@ -142,13 +143,20 @@ impl LifLayer {
         &self.v_mem
     }
 
-    /// Integrates one timestep of per-neuron synaptic input and returns the
-    /// binary firing vector.
+    /// Integrates one timestep of per-neuron synaptic input and writes the
+    /// firing vector packed 64 neurons per word: bit `i % 64` of
+    /// `fired[i / 64]` is set iff neuron `i` fired. Every word of `fired` is
+    /// overwritten and bits at or beyond [`LifLayer::units`] stay clear.
+    ///
+    /// This is the spike generator every forward path runs on: one call of
+    /// the active SIMD tier's `lif_step` kernel, whose per-neuron operation
+    /// order is exactly [`LifNeuron::step`]'s.
     ///
     /// # Panics
     ///
-    /// Panics if `synaptic_input.len()` differs from the number of neurons.
-    pub fn step(&mut self, synaptic_input: &[f32]) -> Vec<bool> {
+    /// Panics if `synaptic_input.len()` differs from the number of neurons
+    /// or `fired` does not hold exactly `units().div_ceil(64)` words.
+    pub fn step_packed(&mut self, synaptic_input: &[f32], fired: &mut [u64]) {
         assert_eq!(
             synaptic_input.len(),
             self.v_mem.len(),
@@ -156,15 +164,56 @@ impl LifLayer {
             synaptic_input.len(),
             self.v_mem.len()
         );
-        let mut spikes = vec![false; self.v_mem.len()];
-        for (i, (&input, v)) in synaptic_input.iter().zip(self.v_mem.iter_mut()).enumerate() {
-            *v = (*v + input - self.config.v_leak).max(self.config.v_floor);
-            if *v > self.config.v_threshold {
-                *v = self.config.v_reset;
-                spikes[i] = true;
-            }
-        }
-        spikes
+        let params = LifParams {
+            leak: self.config.v_leak,
+            floor: self.config.v_floor,
+            threshold: self.config.v_threshold,
+            reset: self.config.v_reset,
+        };
+        simd::active().lif_step(&mut self.v_mem, synaptic_input, &params, fired);
+    }
+
+    /// Integrates one timestep of per-neuron synaptic input and returns the
+    /// binary firing vector ([`LifLayer::step_packed`], unpacked).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `synaptic_input.len()` differs from the number of neurons.
+    pub fn step(&mut self, synaptic_input: &[f32]) -> Vec<bool> {
+        let mut fired = vec![0u64; self.v_mem.len().div_ceil(64)];
+        self.step_packed(synaptic_input, &mut fired);
+        (0..self.v_mem.len())
+            .map(|i| (fired[i / 64] >> (i % 64)) & 1 == 1)
+            .collect()
+    }
+
+    /// Steps the layer once per `N × D` synaptic-integration plane, in
+    /// order, and returns the fired bits as a `T × N × D` spike tensor
+    /// (neuron `n·D + d` is position `(n, d)` of every plane). Membrane
+    /// state persists across the planes and after the call, so a resumed
+    /// layer continues its trajectory.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `planes` is empty or a plane's dimensions differ from the
+    /// first plane's or do not cover exactly [`LifLayer::units`] neurons.
+    pub fn step_planes<'a>(
+        &mut self,
+        planes: impl IntoIterator<Item = &'a DenseMatrix>,
+    ) -> SpikeTensor {
+        let planes: Vec<&DenseMatrix> = planes.into_iter().collect();
+        assert!(!planes.is_empty(), "need at least one timestep of input");
+        let (tokens, features) = (planes[0].rows(), planes[0].cols());
+        assert!(
+            planes
+                .iter()
+                .all(|m| m.rows() == tokens && m.cols() == features),
+            "all timestep matrices must have identical dimensions"
+        );
+        let shape = TensorShape::new(planes.len(), tokens, features);
+        SpikeTensor::from_plane_words(shape, |t, fired| {
+            self.step_packed(planes[t].as_slice(), fired);
+        })
     }
 
     /// Resets all membrane potentials.
@@ -201,34 +250,7 @@ impl LifLayer {
 /// ```
 pub fn lif_over_time(inputs: &[DenseMatrix], config: LifConfig) -> SpikeTensor {
     assert!(!inputs.is_empty(), "need at least one timestep of input");
-    let tokens = inputs[0].rows();
-    let features = inputs[0].cols();
-    assert!(
-        inputs
-            .iter()
-            .all(|m| m.rows() == tokens && m.cols() == features),
-        "all timestep matrices must have identical dimensions"
-    );
-    let shape = TensorShape::new(inputs.len(), tokens, features);
-    let mut spikes = SpikeTensor::zeros(shape);
-    let mut layer = LifLayer::new(tokens * features, config);
-    let mut flat = vec![0.0f32; tokens * features];
-    for (t, input) in inputs.iter().enumerate() {
-        for n in 0..tokens {
-            for d in 0..features {
-                flat[n * features + d] = input.get(n, d);
-            }
-        }
-        let fired = layer.step(&flat);
-        for n in 0..tokens {
-            for d in 0..features {
-                if fired[n * features + d] {
-                    spikes.set(t, n, d, true);
-                }
-            }
-        }
-    }
-    spikes
+    LifLayer::new(inputs[0].rows() * inputs[0].cols(), config).step_planes(inputs)
 }
 
 #[cfg(test)]

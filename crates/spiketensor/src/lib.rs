@@ -52,5 +52,5 @@ pub use generate::{SpikeTraceGenerator, TraceProfile};
 pub use shape::TensorShape;
 pub use stats::{DensitySummary, FeatureDensity};
 pub use tensor::SpikeTensor;
-pub use words::simd::{KernelDispatch, SimdTier};
+pub use words::simd::{KernelDispatch, LifParams, SimdTier};
 pub use words::{RowBits, SetBits};

@@ -105,6 +105,46 @@ impl SpikeTensor {
         tensor
     }
 
+    /// Builds a tensor one timestep plane at a time from already-packed
+    /// words — the constructor spike generators use, so a layer's fired bits
+    /// go from the kernel into the tensor without a per-bit `set`.
+    ///
+    /// For every timestep `t`, `fill(t, plane)` receives a zeroed buffer of
+    /// `(N·D).div_ceil(64)` words and writes that timestep's `N·D` spike
+    /// bits into it, token-major (bit `n·D + d`, little-endian as in the
+    /// type's layout guarantee). When `N·D` is a multiple of 64 the buffer
+    /// *is* the plane's slice of the tensor storage; otherwise planes start
+    /// at varying bit offsets and each filled buffer is shifted into place.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `fill` leaves a bit at or beyond `N·D` set in a plane
+    /// buffer (which would corrupt the next plane or the tail invariant).
+    pub fn from_plane_words(shape: TensorShape, mut fill: impl FnMut(usize, &mut [u64])) -> Self {
+        let plane = shape.tokens * shape.features;
+        let plane_words = plane.div_ceil(64);
+        let mut words = vec![0u64; shape.len().div_ceil(64)];
+        if plane.is_multiple_of(64) {
+            for (t, out) in words.chunks_exact_mut(plane_words).enumerate() {
+                fill(t, out);
+            }
+        } else {
+            let mut scratch = vec![0u64; plane_words];
+            for t in 0..shape.timesteps {
+                scratch.fill(0);
+                fill(t, &mut scratch);
+                assert!(
+                    scratch[plane_words - 1] >> (plane % 64) == 0,
+                    "plane {t} has bits set beyond its {plane} positions"
+                );
+                deposit_row(&mut words, t * plane, plane, |i| scratch[i]);
+            }
+        }
+        let tensor = Self { shape, words };
+        tensor.debug_assert_tail_invariant();
+        tensor
+    }
+
     /// The tensor's shape.
     pub fn shape(&self) -> TensorShape {
         self.shape
@@ -712,6 +752,32 @@ mod tests {
     fn packed_bytes_rounds_up() {
         let t = SpikeTensor::zeros(TensorShape::new(1, 1, 9));
         assert_eq!(t.packed_bytes(), 2);
+    }
+
+    #[test]
+    fn from_plane_words_matches_from_fn_aligned_and_shifted() {
+        // 4×16 planes are one word each; 3×7 planes start at bit offsets
+        // 0, 21, 42, 63, 84 and straddle words.
+        for shape in [TensorShape::new(3, 4, 16), TensorShape::new(5, 3, 7)] {
+            let predicate = |t: usize, n: usize, d: usize| (t * 5 + n * 3 + d) % 4 != 1;
+            let plane = shape.tokens * shape.features;
+            let packed = SpikeTensor::from_plane_words(shape, |t, out| {
+                assert_eq!(out.len(), plane.div_ceil(64));
+                assert!(out.iter().all(|&w| w == 0), "buffer arrives zeroed");
+                for i in 0..plane {
+                    if predicate(t, i / shape.features, i % shape.features) {
+                        out[i / 64] |= 1 << (i % 64);
+                    }
+                }
+            });
+            assert_eq!(packed, SpikeTensor::from_fn(shape, predicate));
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "bits set beyond")]
+    fn from_plane_words_rejects_bits_past_the_plane() {
+        SpikeTensor::from_plane_words(TensorShape::new(2, 3, 7), |_, out| out[0] = 1 << 21);
     }
 
     #[test]

@@ -153,17 +153,6 @@ impl<'a> RowBits<'a> {
         RowBits::new(self.words, self.offset as usize + start, end - start)
     }
 
-    /// The view's packed physical words, if the view is exactly
-    /// word-aligned (starts on a word boundary and covers a whole number
-    /// of words). Lets batch kernels that pair many rows against each
-    /// other (attention scores) run straight over the raw words instead
-    /// of paying the logical-word assembly per pair; `None` means the
-    /// caller must go through [`RowBits::word`].
-    #[inline]
-    pub fn aligned_words(&self) -> Option<&'a [u64]> {
-        (self.offset == 0 && self.len.is_multiple_of(64)).then(|| &self.words[..self.len / 64])
-    }
-
     /// Number of set bits in the view, counted word-wise. Long aligned
     /// views take the SIMD popcount over whole physical words.
     pub fn count_ones(&self) -> usize {

@@ -20,6 +20,9 @@
 //!   `dst[d] += w` for every set bit `d` (the SSA `S·V` select-accumulate).
 //! * [`KernelDispatch::masked_inc`] — spike-masked integer increment
 //!   (Token-Time-Bundle tag construction).
+//! * [`KernelDispatch::lif_step`] — the spike generator: one LIF update
+//!   (integrate → clamp → fire → reset) of a whole neuron layer, with the
+//!   fired lanes packed straight into `u64` spike words.
 //!
 //! **Bit-identity contract.** Every tier of every kernel must produce
 //! results bit-for-bit identical to the scalar tier on every input. For the
@@ -28,9 +31,14 @@
 //! *exactly the same sequence of additions* as the scalar loop: `add_assign`
 //! is element-wise (no reassociation), and `masked_add` uses blend/merge
 //! semantics — untouched lanes keep their exact bit pattern rather than
-//! having `+0.0` added (which would flip a `-0.0` lane to `+0.0`). The
-//! per-tier differential proptest suite (`tests/simd_differential.rs`)
-//! pins this on every tier the host supports.
+//! having `+0.0` added (which would flip a `-0.0` lane to `+0.0`).
+//! `lif_step` issues, per lane and in exactly this order,
+//! `u = (v + x) − leak`, `u = u > floor ? u : floor`, `fired = u > threshold`
+//! (strict), `v = fired ? reset : u` — separate add and subtract (never
+//! fused), the compare-select form of `max` (what `vmaxps` computes, NaN
+//! and signed zeros included), no reassociation. The per-tier differential
+//! proptest suite (`tests/simd_differential.rs`) pins this on every tier
+//! the host supports.
 //!
 //! # Safety
 //!
@@ -44,7 +52,9 @@
 //! 2. All loads/stores are *unaligned* variants over lanes derived from
 //!    slice bounds checked in safe code before the unsafe block.
 //! 3. Masked kernels never read or write past `dst.len()`; trailing lanes
-//!    fall back to the scalar loop.
+//!    fall back to the scalar loop. `lif_step` vectorises whole 64-lane
+//!    groups only, bounded by all three slice lengths, and hands the
+//!    remainder to the scalar word routine.
 #![allow(unsafe_code)]
 
 use std::sync::OnceLock;
@@ -110,6 +120,20 @@ impl SimdTier {
     }
 }
 
+/// The four scalars of the discretised LIF update (Eq. 1–2 of the paper),
+/// as [`KernelDispatch::lif_step`] consumes them.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct LifParams {
+    /// Constant leak subtracted from the membrane potential each step.
+    pub leak: f32,
+    /// Lower clamp of the membrane potential.
+    pub floor: f32,
+    /// Firing threshold; the comparison is strict (`>`).
+    pub threshold: f32,
+    /// Potential a fired lane is reset to.
+    pub reset: f32,
+}
+
 /// A resolved table of kernel entry points for one [`SimdTier`].
 ///
 /// Obtained from [`active`] (best tier for this host, selected once) or
@@ -123,6 +147,7 @@ pub struct KernelDispatch {
     add_assign: fn(&mut [f32], &[f32]),
     masked_add: fn(&mut [f32], &[u64], f32),
     masked_inc: fn(&mut [u32], &[u64]),
+    lif_step: fn(&mut [f32], &[f32], &LifParams, &mut [u64]),
 }
 
 impl KernelDispatch {
@@ -183,6 +208,37 @@ impl KernelDispatch {
         debug_assert!(tail_is_clear(bits, dst.len()), "masked_inc tail bits set");
         (self.masked_inc)(dst, bits);
     }
+
+    /// One LIF timestep of a whole neuron layer, packed: for every lane `i`,
+    /// in exactly this operation order (no FMA, no reassociation),
+    ///
+    /// ```text
+    /// u = (v_mem[i] + input[i]) − leak
+    /// u = u > floor ? u : floor
+    /// fired = u > threshold            (strict)
+    /// v_mem[i] = fired ? reset : u
+    /// ```
+    ///
+    /// and bit `i % 64` of `fired[i / 64]` is set iff lane `i` fired. Every
+    /// word of `fired` is overwritten and bits at or beyond `v_mem.len()`
+    /// are left clear (the packed tensor's tail invariant).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `input.len() != v_mem.len()` or `fired` does not hold
+    /// exactly `v_mem.len().div_ceil(64)` words.
+    #[inline]
+    pub fn lif_step(
+        &self,
+        v_mem: &mut [f32],
+        input: &[f32],
+        params: &LifParams,
+        fired: &mut [u64],
+    ) {
+        assert_eq!(input.len(), v_mem.len(), "lif_step input length");
+        assert_eq!(fired.len(), v_mem.len().div_ceil(64), "lif_step word count");
+        (self.lif_step)(v_mem, input, params, fired);
+    }
 }
 
 /// Checks the masked-kernel input contract: bits at or beyond `len` clear.
@@ -209,6 +265,7 @@ static SCALAR: KernelDispatch = KernelDispatch {
     add_assign: scalar::add_assign,
     masked_add: scalar::masked_add,
     masked_inc: scalar::masked_inc,
+    lif_step: scalar::lif_step,
 };
 
 #[cfg(target_arch = "x86_64")]
@@ -219,6 +276,7 @@ static AVX2: KernelDispatch = KernelDispatch {
     add_assign: avx2::add_assign,
     masked_add: avx2::masked_add,
     masked_inc: avx2::masked_inc,
+    lif_step: avx2::lif_step,
 };
 
 #[cfg(target_arch = "x86_64")]
@@ -229,6 +287,7 @@ static AVX512: KernelDispatch = KernelDispatch {
     add_assign: avx512::add_assign,
     masked_add: avx512::masked_add,
     masked_inc: avx512::masked_inc,
+    lif_step: avx512::lif_step,
 };
 
 #[cfg(target_arch = "aarch64")]
@@ -239,6 +298,7 @@ static NEON: KernelDispatch = KernelDispatch {
     add_assign: neon::add_assign,
     masked_add: neon::masked_add,
     masked_inc: neon::masked_inc,
+    lif_step: neon::lif_step,
 };
 
 /// The dispatch table for a specific tier, or `None` if the host cannot
@@ -277,6 +337,8 @@ pub fn active() -> &'static KernelDispatch {
 /// Portable scalar tier — the universal fallback and the bit-identity
 /// reference every other tier is differentially tested against.
 mod scalar {
+    use super::LifParams;
+
     pub(super) fn popcount(words: &[u64]) -> u64 {
         words.iter().map(|w| u64::from(w.count_ones())).sum()
     }
@@ -315,6 +377,28 @@ mod scalar {
             }
         }
     }
+
+    /// One LIF update of up to 64 lanes; returns their fired bits. This is
+    /// the operation-order reference every wider tier reproduces, and the
+    /// remainder routine they all share.
+    #[inline]
+    pub(super) fn lif_word(v_mem: &mut [f32], input: &[f32], p: &LifParams) -> u64 {
+        let mut word = 0u64;
+        for (lane, (v, &x)) in v_mem.iter_mut().zip(input).enumerate() {
+            let charged = (*v + x) - p.leak;
+            let clamped = if charged > p.floor { charged } else { p.floor };
+            let fired = clamped > p.threshold;
+            *v = if fired { p.reset } else { clamped };
+            word |= u64::from(fired) << lane;
+        }
+        word
+    }
+
+    pub(super) fn lif_step(v_mem: &mut [f32], input: &[f32], p: &LifParams, fired: &mut [u64]) {
+        for ((v, x), out) in v_mem.chunks_mut(64).zip(input.chunks(64)).zip(fired) {
+            *out = lif_word(v, x, p);
+        }
+    }
 }
 
 /// AVX2 tier: 256-bit rows, four `u64` per vector. Popcount uses the
@@ -322,6 +406,7 @@ mod scalar {
 /// with `vpsadbw` folding byte counts into per-lane `u64` sums.
 #[cfg(target_arch = "x86_64")]
 mod avx2 {
+    use super::{scalar, LifParams};
     use std::arch::x86_64::*;
 
     pub(super) fn popcount(words: &[u64]) -> u64 {
@@ -348,6 +433,11 @@ mod avx2 {
     pub(super) fn masked_inc(dst: &mut [u32], bits: &[u64]) {
         // SAFETY: as above — AVX2 presence verified at table selection.
         unsafe { masked_inc_impl(dst, bits) }
+    }
+
+    pub(super) fn lif_step(v_mem: &mut [f32], input: &[f32], p: &LifParams, fired: &mut [u64]) {
+        // SAFETY: as above — AVX2 presence verified at table selection.
+        unsafe { lif_step_impl(v_mem, input, p, fired) }
     }
 
     /// Sums the four `u64` lanes of an accumulator vector.
@@ -478,12 +568,40 @@ mod avx2 {
             }
         }
     }
+
+    #[target_feature(enable = "avx2")]
+    unsafe fn lif_step_impl(v_mem: &mut [f32], input: &[f32], p: &LifParams, fired: &mut [u64]) {
+        let n = v_mem.len().min(input.len()).min(fired.len() * 64);
+        let leak = _mm256_set1_ps(p.leak);
+        let floor = _mm256_set1_ps(p.floor);
+        let threshold = _mm256_set1_ps(p.threshold);
+        let reset = _mm256_set1_ps(p.reset);
+        let full = n / 64;
+        for (w, out) in fired[..full].iter_mut().enumerate() {
+            let mut word = 0u64;
+            for group in 0..8 {
+                let at = w * 64 + group * 8;
+                let v = _mm256_loadu_ps(v_mem.as_ptr().add(at));
+                let x = _mm256_loadu_ps(input.as_ptr().add(at));
+                // `vmaxps(u, floor)` is exactly `u > floor ? u : floor`.
+                let u = _mm256_max_ps(_mm256_sub_ps(_mm256_add_ps(v, x), leak), floor);
+                let m = _mm256_cmp_ps::<_CMP_GT_OQ>(u, threshold);
+                _mm256_storeu_ps(v_mem.as_mut_ptr().add(at), _mm256_blendv_ps(u, reset, m));
+                word |= u64::from(_mm256_movemask_ps(m) as u8) << (group * 8);
+            }
+            *out = word;
+        }
+        if full * 64 < n {
+            fired[full] = scalar::lif_word(&mut v_mem[full * 64..n], &input[full * 64..n], p);
+        }
+    }
 }
 
 /// AVX-512 tier: 512-bit rows, native `vpopcntq` and hardware mask
 /// registers (the bit word *is* the lane mask).
 #[cfg(target_arch = "x86_64")]
 mod avx512 {
+    use super::{scalar, LifParams};
     use std::arch::x86_64::*;
 
     pub(super) fn popcount(words: &[u64]) -> u64 {
@@ -510,6 +628,11 @@ mod avx512 {
     pub(super) fn masked_inc(dst: &mut [u32], bits: &[u64]) {
         // SAFETY: as above — AVX-512 presence verified at table selection.
         unsafe { masked_inc_impl(dst, bits) }
+    }
+
+    pub(super) fn lif_step(v_mem: &mut [f32], input: &[f32], p: &LifParams, fired: &mut [u64]) {
+        // SAFETY: as above — AVX-512 presence verified at table selection.
+        unsafe { lif_step_impl(v_mem, input, p, fired) }
     }
 
     #[target_feature(enable = "avx512f,avx512vpopcntdq")]
@@ -607,12 +730,44 @@ mod avx512 {
             }
         }
     }
+
+    #[target_feature(enable = "avx512f")]
+    unsafe fn lif_step_impl(v_mem: &mut [f32], input: &[f32], p: &LifParams, fired: &mut [u64]) {
+        let n = v_mem.len().min(input.len()).min(fired.len() * 64);
+        let leak = _mm512_set1_ps(p.leak);
+        let floor = _mm512_set1_ps(p.floor);
+        let threshold = _mm512_set1_ps(p.threshold);
+        let reset = _mm512_set1_ps(p.reset);
+        let full = n / 64;
+        for (w, out) in fired[..full].iter_mut().enumerate() {
+            let mut word = 0u64;
+            for group in 0..4 {
+                let at = w * 64 + group * 16;
+                let v = _mm512_loadu_ps(v_mem.as_ptr().add(at));
+                let x = _mm512_loadu_ps(input.as_ptr().add(at));
+                // `vmaxps(u, floor)` is exactly `u > floor ? u : floor`.
+                let u = _mm512_max_ps(_mm512_sub_ps(_mm512_add_ps(v, x), leak), floor);
+                // The compare mask *is* 16 packed spike bits.
+                let m = _mm512_cmp_ps_mask::<_CMP_GT_OQ>(u, threshold);
+                _mm512_storeu_ps(
+                    v_mem.as_mut_ptr().add(at),
+                    _mm512_mask_blend_ps(m, u, reset),
+                );
+                word |= u64::from(m) << (group * 16);
+            }
+            *out = word;
+        }
+        if full * 64 < n {
+            fired[full] = scalar::lif_word(&mut v_mem[full * 64..n], &input[full * 64..n], p);
+        }
+    }
 }
 
 /// AArch64 NEON tier: 128-bit rows, `vcnt` byte popcount with horizontal
 /// `vaddv` folds, `vbsl` bit-select for the masked kernels.
 #[cfg(target_arch = "aarch64")]
 mod neon {
+    use super::{scalar, LifParams};
     use std::arch::aarch64::*;
 
     pub(super) fn popcount(words: &[u64]) -> u64 {
@@ -639,6 +794,11 @@ mod neon {
     pub(super) fn masked_inc(dst: &mut [u32], bits: &[u64]) {
         // SAFETY: as above — NEON presence verified at table selection.
         unsafe { masked_inc_impl(dst, bits) }
+    }
+
+    pub(super) fn lif_step(v_mem: &mut [f32], input: &[f32], p: &LifParams, fired: &mut [u64]) {
+        // SAFETY: as above — NEON presence verified at table selection.
+        unsafe { lif_step_impl(v_mem, input, p, fired) }
     }
 
     #[target_feature(enable = "neon")]
@@ -738,6 +898,37 @@ mod neon {
             if (bits[b / 64] >> (b % 64)) & 1 == 1 {
                 dst[b] += 1;
             }
+        }
+    }
+
+    #[target_feature(enable = "neon")]
+    unsafe fn lif_step_impl(v_mem: &mut [f32], input: &[f32], p: &LifParams, fired: &mut [u64]) {
+        let n = v_mem.len().min(input.len()).min(fired.len() * 64);
+        let leak = vdupq_n_f32(p.leak);
+        let floor = vdupq_n_f32(p.floor);
+        let threshold = vdupq_n_f32(p.threshold);
+        let reset = vdupq_n_f32(p.reset);
+        let lane_bits: [u32; 4] = [1, 2, 4, 8];
+        let lanes = vld1q_u32(lane_bits.as_ptr());
+        let full = n / 64;
+        for (w, out) in fired[..full].iter_mut().enumerate() {
+            let mut word = 0u64;
+            for group in 0..16 {
+                let at = w * 64 + group * 4;
+                let v = vld1q_f32(v_mem.as_ptr().add(at));
+                let x = vld1q_f32(input.as_ptr().add(at));
+                let charged = vsubq_f32(vaddq_f32(v, x), leak);
+                // Compare-select, not `vmaxq`: NaN and signed-zero lanes must
+                // resolve exactly as `u > floor ? u : floor`.
+                let u = vbslq_f32(vcgtq_f32(charged, floor), charged, floor);
+                let m = vcgtq_f32(u, threshold);
+                vst1q_f32(v_mem.as_mut_ptr().add(at), vbslq_f32(m, reset, u));
+                word |= u64::from(vaddvq_u32(vandq_u32(m, lanes))) << (group * 4);
+            }
+            *out = word;
+        }
+        if full * 64 < n {
+            fired[full] = scalar::lif_word(&mut v_mem[full * 64..n], &input[full * 64..n], p);
         }
     }
 }

@@ -7,7 +7,7 @@
 //! records which paths were actually exercised); the scalar tier is always
 //! available, so the suite never silently degenerates to zero comparisons.
 
-use bishop_spiketensor::words::simd::{self, SimdTier};
+use bishop_spiketensor::words::simd::{self, LifParams, SimdTier};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -74,6 +74,63 @@ fn random_f32s(len: usize, seed: u64) -> Vec<f32> {
 
 fn bits_of(values: &[f32]) -> Vec<u32> {
     values.iter().map(|v| v.to_bits()).collect()
+}
+
+/// Neuron-layer lengths for `lif_step`: empty, sub-vector, one AVX-512
+/// vector ± 1, one spike word ± 1, a ragged multi-word layer, and the
+/// serving model's `N·D = 8192` plane.
+const LIF_LENGTHS: [usize; 10] = [0, 1, 15, 16, 17, 63, 64, 65, 130, 8192];
+
+/// LIF scalar sets: the serving default, non-zero leak and reset, and a
+/// zero floor (where the clamp meets signed zeros).
+const LIF_PARAMS: [LifParams; 4] = [
+    LifParams {
+        leak: 0.0,
+        floor: -4.0,
+        threshold: 1.0,
+        reset: 0.0,
+    },
+    LifParams {
+        leak: 0.125,
+        floor: -1.5,
+        threshold: 0.75,
+        reset: -0.25,
+    },
+    LifParams {
+        leak: 0.0,
+        floor: 0.0,
+        threshold: 1.0,
+        reset: 0.5,
+    },
+    LifParams {
+        leak: -0.0,
+        floor: -0.0,
+        threshold: 2.0,
+        reset: -0.0,
+    },
+];
+
+/// Membrane/input payloads for `lif_step`: mostly values around the
+/// threshold, salted with the cases an unfaithful kernel gets wrong —
+/// sums landing exactly on the threshold (must not fire), values far below
+/// the floor, signed zeros, denormals, infinities and NaN.
+fn random_lif_f32s(len: usize, seed: u64) -> Vec<f32> {
+    let mut rng = StdRng::seed_from_u64(seed);
+    (0..len)
+        .map(|_| match rng.gen_range(0..16) {
+            0 => -0.0,
+            1 => 0.0,
+            2 => f32::MIN_POSITIVE / 2.0,
+            3 => -f32::MIN_POSITIVE / 2.0,
+            4 => 0.5, // 0.5 + 0.5 and 0.25 + 0.75 hit the threshold 1.0 exactly
+            5 => 0.25,
+            6 => 0.75,
+            7 => -100.0,
+            8 => f32::NAN,
+            9 => f32::INFINITY,
+            _ => rng.gen_range(-2.0_f32..2.0),
+        })
+        .collect()
 }
 
 #[test]
@@ -223,6 +280,43 @@ proptest! {
     }
 
     #[test]
+    fn lif_step_is_bitwise_identical_on_every_tier(
+        len_index in 0usize..LIF_LENGTHS.len(),
+        params_index in 0usize..LIF_PARAMS.len(),
+        seed in any::<u64>(),
+    ) {
+        let len = LIF_LENGTHS[len_index];
+        let params = LIF_PARAMS[params_index];
+        let start = random_lif_f32s(len, seed);
+        let inputs: Vec<Vec<f32>> = (1..=3).map(|step| random_lif_f32s(len, seed ^ step)).collect();
+        let mut expected_v = start.clone();
+        let mut expected_words = vec![u64::MAX; len.div_ceil(64)];
+        let mut tiers: Vec<_> = tiers_under_test()
+            .into_iter()
+            .map(|tier| (tier, start.clone(), vec![u64::MAX; len.div_ceil(64)]))
+            .collect();
+        // Three consecutive steps, so membranes a tier wrote feed its next step.
+        for input in &inputs {
+            scalar().lif_step(&mut expected_v, input, &params, &mut expected_words);
+            if !len.is_multiple_of(64) {
+                prop_assert!(expected_words[len / 64] >> (len % 64) == 0, "tail bits set");
+            }
+            for (tier, v_mem, words) in &mut tiers {
+                let kernels = simd::kernels_for(*tier).expect("tier listed as available");
+                kernels.lif_step(v_mem, input, &params, words);
+                prop_assert!(
+                    *words == expected_words,
+                    "lif_step fired words diverged on tier {}", tier.label()
+                );
+                prop_assert!(
+                    bits_of(v_mem) == bits_of(&expected_v),
+                    "lif_step membranes diverged on tier {}", tier.label()
+                );
+            }
+        }
+    }
+
+    #[test]
     fn empty_and_all_zero_rows_are_neutral_on_every_tier(
         len_index in 0usize..WORD_LENGTHS.len(),
     ) {
@@ -237,6 +331,39 @@ proptest! {
             kernels.masked_add(&mut empty_f32, &[], 1.0);
             let mut empty_u32: [u32; 0] = [];
             kernels.masked_inc(&mut empty_u32, &[]);
+            kernels.lif_step(&mut empty_f32, &[], &LIF_PARAMS[0], &mut []);
+        }
+    }
+}
+
+/// The operation-order contract itself, on every tier (scalar included):
+/// a sum landing exactly on the threshold does not fire, the floor clamps
+/// before the comparison, a fired lane is reset, and spike bits land at
+/// their lane's position across word boundaries.
+#[test]
+fn lif_step_semantics_hold_on_every_tier() {
+    let params = LIF_PARAMS[0];
+    for tier in SimdTier::available() {
+        let kernels = simd::kernels_for(tier).expect("tier listed as available");
+        for len in [5usize, 64, 70, 130] {
+            let mut v_mem = vec![0.25f32; len];
+            let mut input = vec![0.0f32; len];
+            input[0] = 0.75; // 0.25 + 0.75 == threshold: strict `>` must not fire
+            input[1] = 0.75 + f32::EPSILON; // one ulp above: fires
+            input[2] = -100.0; // clamps to the floor
+            input[len - 1] = 3.0; // last lane, possibly in a partial word
+            let mut fired = vec![u64::MAX; len.div_ceil(64)];
+            kernels.lif_step(&mut v_mem, &input, &params, &mut fired);
+            let spikes: Vec<usize> = (0..len)
+                .filter(|i| (fired[i / 64] >> (i % 64)) & 1 == 1)
+                .collect();
+            assert_eq!(spikes, vec![1, len - 1], "tier {} len {len}", tier.label());
+            assert_eq!(fired.iter().map(|w| w.count_ones()).sum::<u32>(), 2);
+            assert_eq!(v_mem[0], 1.0, "tier {}", tier.label());
+            assert_eq!(v_mem[1], params.reset);
+            assert_eq!(v_mem[2], params.floor);
+            assert_eq!(v_mem[3], 0.25);
+            assert_eq!(v_mem[len - 1], params.reset);
         }
     }
 }
