@@ -15,12 +15,15 @@ use bishop_core::{AttentionCoreModel, BishopConfig, BishopSimulator, SimOptions}
 use bishop_memsys::EnergyModel;
 use bishop_model::workload::SyntheticTraceSpec;
 use bishop_model::{
-    select_accumulate, select_accumulate_reference, spike_matmul, spike_matmul_reference,
-    DatasetKind, ModelConfig, ModelWorkload, SpikingSelfAttention,
+    select_accumulate, select_accumulate_reference, spike_matmul, spike_matmul_into,
+    spike_matmul_reference, DatasetKind, ModelConfig, ModelWorkload, SpikingSelfAttention,
 };
 use bishop_neuron::{LifConfig, LifLayer, LifNeuron};
 use bishop_spiketensor::words::simd;
-use bishop_spiketensor::{DenseMatrix, SpikeTraceGenerator, TensorShape, TraceProfile};
+use bishop_spiketensor::{
+    DenseMatrix, SpikeTensor, SpikeTraceGenerator, TensorShape, TraceProfile,
+};
+use rand::Rng;
 
 fn trace(density: f64, shape: TensorShape, seed: u64) -> bishop_spiketensor::SpikeTensor {
     let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
@@ -79,6 +82,62 @@ fn bench_ttb_tags_pair(c: &mut Criterion) {
         b.iter(|| TtbTags::from_tensor(black_box(&tensor), bundle))
     });
     group.finish();
+}
+
+/// The synaptic integration as it ran before the output-stationary kernel:
+/// zero the plane, then one dispatched `add_assign` (load-add-store of the
+/// whole output row) per spike. Baseline of `spike_matmul_fc1_serve`.
+fn spike_matmul_per_spike(spikes: &SpikeTensor, weight: &DenseMatrix, plane: &mut DenseMatrix) {
+    let kernels = simd::active();
+    plane.as_mut_slice().fill(0.0);
+    for n in 0..spikes.shape().tokens {
+        for d_in in spikes.row_words(0, n).iter_set_bits() {
+            kernels.add_assign(plane.row_mut(n), weight.row(d_in));
+        }
+    }
+}
+
+/// One head's attention scores as they ran before zero-row skipping: head
+/// words assembled once per row, then every `(i, j)` pair scored. Baseline
+/// of `attention_scores_sparse` (single-word heads only).
+fn attention_scores_all_pairs(
+    q: &SpikeTensor,
+    k: &SpikeTensor,
+    d0: usize,
+    d1: usize,
+) -> DenseMatrix {
+    let tokens = q.shape().tokens;
+    let head_words = |x: &SpikeTensor| -> Vec<u64> {
+        (0..tokens)
+            .map(|n| x.row_feature_slice(0, n, d0, d1).word(0))
+            .collect()
+    };
+    let (q_words, k_words) = (head_words(q), head_words(k));
+    let mut s = DenseMatrix::zeros(tokens, tokens);
+    for (i, qi) in q_words.iter().enumerate() {
+        for (out, kj) in s.row_mut(i).iter_mut().zip(&k_words) {
+            *out = (qi & kj).count_ones() as f32;
+        }
+    }
+    s
+}
+
+/// `DenseMatrix::matmul` as it ran before the `scaled_accumulate` kernel.
+/// Baseline of `tokenizer_matmul`.
+fn matmul_element_loop(a: &DenseMatrix, b: &DenseMatrix) -> DenseMatrix {
+    let mut out = DenseMatrix::zeros(a.rows(), b.cols());
+    for i in 0..a.rows() {
+        for k in 0..a.cols() {
+            let x = a.get(i, k);
+            if x == 0.0 {
+                continue;
+            }
+            for j in 0..b.cols() {
+                out.add_assign(i, j, x * b.get(k, j));
+            }
+        }
+    }
+    out
 }
 
 /// Medians a routine's wall time over `samples` timed runs of `iters`
@@ -235,6 +294,70 @@ fn bench_perf_ratios(_c: &mut Criterion) {
             },
         );
     }
+
+    // Serving-shape rows (`cifar10-serve`: N = 64, D = 128, 4 heads of 32,
+    // MLP hidden 512). Here "scalar" is the loop each kernel replaced, not
+    // a scalar reference: both sides run on the active SIMD tier.
+    let serve_input =
+        SpikeTensor::from_fn(TensorShape::new(1, 64, 128), |_, _, _| rng.gen_bool(0.075));
+    let fc1 = DenseMatrix::random_uniform(128, 512, 0.1, &mut rng);
+    let mut plane = DenseMatrix::zeros(64, 512);
+    let mut plane_after = plane.clone();
+    measure(
+        "spike_matmul_fc1_serve",
+        200,
+        &mut || spike_matmul_per_spike(black_box(&serve_input), &fc1, &mut plane),
+        &mut || spike_matmul_into(black_box(&serve_input), 0, &fc1, &mut plane_after),
+    );
+    assert_eq!(
+        plane, plane_after,
+        "row-accumulate diverged from the per-spike loop"
+    );
+
+    // 90 % of Q/K rows empty inside the head, as the served model's are.
+    let mut sparse_rows = |density: f64| {
+        let live: Vec<bool> = (0..64).map(|_| rng.gen_bool(0.1)).collect();
+        SpikeTensor::from_fn(TensorShape::new(1, 64, 128), |_, n, d| {
+            let inside_head = (32..64).contains(&d);
+            (!inside_head || live[n]) && rng.gen_bool(density)
+        })
+    };
+    let (sparse_q, sparse_k) = (sparse_rows(0.15), sparse_rows(0.15));
+    assert_eq!(
+        attention_scores_all_pairs(&sparse_q, &sparse_k, 32, 64),
+        SpikingSelfAttention::attention_scores_in(&sparse_q, &sparse_k, 0, 32, 64),
+        "zero-row skipping diverged from the all-pairs loop"
+    );
+    measure(
+        "attention_scores_sparse",
+        200,
+        &mut || {
+            black_box(attention_scores_all_pairs(&sparse_q, &sparse_k, 32, 64));
+        },
+        &mut || {
+            black_box(SpikingSelfAttention::attention_scores_in(
+                &sparse_q, &sparse_k, 0, 32, 64,
+            ));
+        },
+    );
+
+    let patches = DenseMatrix::random_uniform(64, 128, 1.0, &mut rng);
+    let embed = DenseMatrix::random_uniform(128, 128, 0.1, &mut rng);
+    assert_eq!(
+        matmul_element_loop(&patches, &embed),
+        patches.matmul(&embed),
+        "scaled-accumulate matmul diverged from the element loop"
+    );
+    measure(
+        "tokenizer_matmul",
+        20,
+        &mut || {
+            black_box(matmul_element_loop(&patches, &embed));
+        },
+        &mut || {
+            black_box(patches.matmul(&embed));
+        },
+    );
 
     // Record which dispatch tier produced the `word` timings, so numbers
     // from different hosts are comparable.

@@ -25,13 +25,10 @@ use std::time::{Duration, Instant};
 use criterion::{criterion_group, criterion_main, Criterion};
 
 use bishop_engine::EngineName;
-use bishop_model::{ComputePool, DatasetKind, ModelConfig, SpikingTransformer};
 use bishop_runtime::{
     default_mixed_models, BatchPolicy, InferenceRequest, OnlineConfig, OnlineServer, RuntimeConfig,
     Ticket,
 };
-use bishop_spiketensor::DenseMatrix;
-use rand::SeedableRng;
 
 /// Open-loop simulator probes per phase.
 const SIM_PROBES: usize = 32;
@@ -144,50 +141,6 @@ fn run_arm(isolate: bool) -> (f64, f64, f64, f64, f64) {
     (solo_p50, solo_p95, mixed_p50, mixed_p95, native_seconds)
 }
 
-/// Intra-batch A/B: one large folded native batch (the worst case for a
-/// sequential worker — nothing else to overlap it with) executed with the
-/// compute pool off vs auto-sized. Returns
-/// `(pool_width, sequential_seconds, parallel_seconds, speedup)`. The two
-/// passes are asserted bit-identical first, so the speedup is never bought
-/// with drift.
-fn intra_batch_ab() -> (usize, f64, f64, f64) {
-    // 16 folded timesteps over a CIFAR-scale two-block model: the shape a
-    // batch-of-4 × T=4 fold presents to the native engine.
-    let config = ModelConfig::new("intra-batch-ab", DatasetKind::Cifar10, 2, 16, 64, 128, 4);
-    let mut rng = rand::rngs::StdRng::seed_from_u64(41);
-    let model =
-        SpikingTransformer::random(&config, config.features, config.dataset.classes(), &mut rng);
-    let patches = DenseMatrix::random_uniform(config.tokens, config.features, 1.0, &mut rng);
-    let pool = ComputePool::new(0);
-
-    let sequential_result = model.infer(&patches);
-    let parallel_result = model.infer_with(&patches, &pool);
-    assert_eq!(
-        sequential_result, parallel_result,
-        "pool execution must stay bit-identical to sequential"
-    );
-
-    let median = |f: &dyn Fn()| -> f64 {
-        let mut times: Vec<f64> = (0..5)
-            .map(|_| {
-                let start = Instant::now();
-                f();
-                start.elapsed().as_secs_f64()
-            })
-            .collect();
-        times.sort_by(|a, b| a.partial_cmp(b).expect("non-NaN timing"));
-        times[times.len() / 2]
-    };
-    let sequential_s = median(&|| {
-        criterion::black_box(model.infer(&patches));
-    });
-    let parallel_s = median(&|| {
-        criterion::black_box(model.infer_with(&patches, &pool));
-    });
-    let speedup = sequential_s / parallel_s.max(1e-12);
-    (pool.width(), sequential_s, parallel_s, speedup)
-}
-
 fn bench_scheduler(c: &mut Criterion) {
     // Microbench: one deadline'd auto-dispatch round trip on a warm stack
     // (admission + autoselection + batching + execution on the engine the
@@ -242,27 +195,6 @@ fn bench_scheduler(c: &mut Criterion) {
     );
     println!("  isolation win    : shared mixed p95 / isolated mixed p95 = {isolation_win:.1}x");
 
-    // The intra-batch story: with only one large batch in flight, domain
-    // isolation can't help — fanning the batch's own timesteps across the
-    // compute pool is the only parallelism left.
-    let (pool_width, seq_s, par_s, intra_speedup) = intra_batch_ab();
-    println!(
-        "  intra-batch A/B  : single large native batch, sequential {:.1} ms vs pool({pool_width}) \
-         {:.1} ms = {intra_speedup:.2}x",
-        seq_s * 1e3,
-        par_s * 1e3,
-    );
-    // Only a bar where the pool genuinely has lanes to fan across: a
-    // 1-core host resolves to width 1 and inlines everything (recorded as
-    // ~1.0x), which is the designed behavior, not a regression.
-    if pool_width >= 4 {
-        assert!(
-            intra_speedup >= 2.0,
-            "a width-{pool_width} compute pool must speed a single large batch \
-             up by >= 2x, got {intra_speedup:.2}x"
-        );
-    }
-
     // Acceptance. With cores to run domains in parallel, co-located native
     // load may cost the simulator at most 2x its solo p95. On one or two
     // cores, queue isolation still works but CPU contention is physically
@@ -292,9 +224,7 @@ fn bench_scheduler(c: &mut Criterion) {
          \"isolated\": {{\"solo_p50_ms\": {:.4}, \"solo_p95_ms\": {:.4}, \
          \"mixed_p50_ms\": {:.4}, \"mixed_p95_ms\": {:.4}, \"blowup_vs_solo\": {:.2}}},\n  \
          \"shared\": {{\"mixed_p50_ms\": {:.4}, \"mixed_p95_ms\": {:.4}, \
-         \"blowup_vs_solo\": {:.2}}},\n  \"isolation_win_p95\": {:.2},\n  \
-         \"native_intra_batch\": {{\"compute_workers\": {pool_width}, \
-         \"sequential_ms\": {:.4}, \"parallel_ms\": {:.4}, \"speedup\": {:.2}}}\n}}\n",
+         \"blowup_vs_solo\": {:.2}}},\n  \"isolation_win_p95\": {:.2}\n}}\n",
         iso_solo_p50 * 1e3,
         iso_solo_p95 * 1e3,
         iso_mixed_p50 * 1e3,
@@ -304,9 +234,6 @@ fn bench_scheduler(c: &mut Criterion) {
         shared_mixed_p95 * 1e3,
         blowup_shared,
         isolation_win,
-        seq_s * 1e3,
-        par_s * 1e3,
-        intra_speedup,
     );
     let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_scheduler.json");
     match std::fs::write(path, &json) {

@@ -43,11 +43,10 @@ pub struct NativeEngineConfig {
     /// Entry bound of the weight cache (one materialized transformer per
     /// distinct batched configuration).
     pub model_cache_capacity: usize,
-    /// Width of the intra-batch compute pool: independent units of one
-    /// batch (timesteps, heads, token-row chunks) fan out across this many
-    /// threads, caller included. `0` auto-sizes to the host's available
-    /// parallelism; `1` forces sequential execution. Results are
-    /// bit-identical at any width.
+    /// Width of the compute-pool handle (`0` auto-sizes to the host's
+    /// available parallelism). Reported, not acted on: the streamed forward
+    /// pass runs each batch on its worker's own thread at every width (see
+    /// `bishop_model::parallel`).
     pub compute_workers: usize,
 }
 

@@ -4,8 +4,8 @@ use bishop_neuron::LifConfig;
 use bishop_spiketensor::SpikeTensor;
 use rand::Rng;
 
+use crate::forward::{Forward, Scratch};
 use crate::mlp::{MlpOutput, SpikingMlp};
-use crate::parallel::ComputePool;
 use crate::ssa::{SpikingSelfAttention, SsaOutput};
 
 /// All activations produced by one encoder block forward pass.
@@ -65,17 +65,18 @@ impl EncoderBlock {
 
     /// Forward pass with residual merging.
     pub fn forward(&self, input: &SpikeTensor) -> EncoderOutput {
-        self.forward_with(input, &ComputePool::sequential())
+        self.forward_in(input, &mut Forward::standalone(&mut Scratch::default()))
     }
 
-    /// Pool-parallel [`EncoderBlock::forward`]; bit-identical at any pool
-    /// width.
-    pub fn forward_with(&self, input: &SpikeTensor, pool: &ComputePool) -> EncoderOutput {
-        let ssa = self.ssa.forward_with(input, pool);
+    /// The forward pass every path runs — the fused pass over all `T`
+    /// timesteps with fresh membranes, the stepper over one timestep with
+    /// its persistent ones.
+    pub(crate) fn forward_in(&self, input: &SpikeTensor, ctx: &mut Forward<'_>) -> EncoderOutput {
+        let ssa = self.ssa.forward_in(input, ctx);
         let mlp_input = input
             .or(&ssa.output)
             .expect("SSA output shape matches its input shape");
-        let mlp = self.mlp.forward_with(&mlp_input, pool);
+        let mlp = self.mlp.forward_in(&mlp_input, ctx);
         let output = mlp_input
             .or(&mlp.output)
             .expect("MLP output shape matches its input shape");

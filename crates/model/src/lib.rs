@@ -33,6 +33,7 @@
 
 pub mod config;
 pub mod encoder;
+mod forward;
 pub mod mlp;
 pub mod parallel;
 pub mod profile;
@@ -47,7 +48,7 @@ pub use config::{DatasetKind, ModelConfig};
 pub use encoder::EncoderBlock;
 pub use mlp::SpikingMlp;
 pub use parallel::{ComputePool, WorkerProbe};
-pub use projection::{spike_matmul, spike_matmul_reference, SpikingLinear};
+pub use projection::{spike_matmul, spike_matmul_into, spike_matmul_reference, SpikingLinear};
 pub use ssa::{select_accumulate, select_accumulate_reference, SpikingSelfAttention, SsaOutput};
 pub use stepper::{BlockState, ModelState, PooledReadout, StepOutcome, TransformerStepper};
 pub use tokenizer::SpikingTokenizer;

@@ -4,7 +4,7 @@ use bishop_neuron::LifConfig;
 use bishop_spiketensor::SpikeTensor;
 use rand::Rng;
 
-use crate::parallel::ComputePool;
+use crate::forward::{Forward, Scratch};
 use crate::projection::SpikingLinear;
 
 /// The spiking MLP block of an encoder: two spiking linear layers with an
@@ -75,14 +75,13 @@ impl SpikingMlp {
 
     /// Forward pass returning both the hidden and output spike tensors.
     pub fn forward(&self, input: &SpikeTensor) -> MlpOutput {
-        self.forward_with(input, &ComputePool::sequential())
+        self.forward_in(input, &mut Forward::standalone(&mut Scratch::default()))
     }
 
-    /// Pool-parallel [`SpikingMlp::forward`]; bit-identical at any pool
-    /// width.
-    pub fn forward_with(&self, input: &SpikeTensor, pool: &ComputePool) -> MlpOutput {
-        let hidden = self.fc1.forward_with(input, pool);
-        let output = self.fc2.forward_with(&hidden, pool);
+    /// The forward pass every path runs, in the caller's context.
+    pub(crate) fn forward_in(&self, input: &SpikeTensor, ctx: &mut Forward<'_>) -> MlpOutput {
+        let hidden = self.fc1.forward_in(input, ctx);
+        let output = self.fc2.forward_in(&hidden, ctx);
         MlpOutput { hidden, output }
     }
 }

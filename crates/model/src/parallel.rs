@@ -1,19 +1,11 @@
-//! Intra-batch compute pool: fans independent units of work (timesteps,
-//! heads, token-row chunks) across OS threads with a deterministic,
-//! index-ordered fan-in.
+//! The native engine's compute-pool handle: a width and its lane probes.
 //!
-//! The pool is deliberately minimal — scoped `std` threads, no external
-//! dependencies, no work stealing. Each [`ComputePool::run`] call splits the
-//! task index range into at most `width` contiguous chunks; chunk 0 runs
-//! inline on the calling thread and the rest on scoped worker threads.
-//! Results are written into per-task slots by index, so the returned vector
-//! is always in task order regardless of which thread finished first: a
-//! parallel run is **bit-for-bit identical** to a sequential one provided
-//! each task is independent (the caller's contract).
-//!
-//! With `width <= 1` (the default on single-core hosts) every `run` executes
-//! inline with no thread machinery at all, so enabling the pool on a small
-//! box is behaviourally free.
+//! Nothing fans out across it. The streamed forward pass finishes a whole
+//! integration plane in 5–30 µs, under the ~64 µs a scoped spawn + join
+//! costs — fanning planes out measured 4–7× slower at widths 2–4 — so the
+//! forward pass runs on the calling thread at every width. The handle stays
+//! because the engine, the runtime's lane profiler and the benchmark hold
+//! it; ROADMAP's "delete the `ComputePool` handle" item removes it with them.
 
 use std::num::NonZeroUsize;
 use std::sync::Arc;
@@ -22,7 +14,8 @@ use std::sync::Arc;
 ///
 /// The engine/runtime layer attaches one probe per pool lane so the worker
 /// profiler can attribute fan-out self-time (busy vs idle) to the compute
-/// pool; the model crate itself knows nothing about metrics.
+/// pool; the model crate itself knows nothing about metrics. No lane runs
+/// work any more (see the module docs), so the probes stay silent.
 pub trait WorkerProbe: Send + Sync {
     /// Called when the lane starts executing a chunk.
     fn busy(&self);
@@ -30,18 +23,18 @@ pub trait WorkerProbe: Send + Sync {
     fn idle(&self);
 }
 
-/// A fixed-width compute pool for intra-batch parallelism.
+/// A fixed-width compute-pool handle.
 ///
-/// `width` is the maximum number of concurrently executing chunks,
-/// *including* the calling thread. `ComputePool::new(0)` auto-sizes to the
-/// host's available parallelism.
+/// `ComputePool::new(0)` auto-sizes to the host's available parallelism.
+/// The width is reported (`NativeEngineConfig::compute_workers`, the
+/// runtime's `compute_pool` event) but no longer changes how the forward
+/// pass executes.
 ///
 /// ```
 /// use bishop_model::ComputePool;
 ///
-/// let pool = ComputePool::new(4);
-/// let squares = pool.run(10, |i| i * i);
-/// assert_eq!(squares, (0..10).map(|i| i * i).collect::<Vec<_>>());
+/// assert_eq!(ComputePool::new(4).width(), 4);
+/// assert_eq!(ComputePool::sequential().width(), 1);
 /// ```
 #[derive(Clone)]
 pub struct ComputePool {
@@ -81,7 +74,7 @@ impl ComputePool {
         }
     }
 
-    /// A width-1 pool: every [`ComputePool::run`] executes inline.
+    /// A width-1 pool.
     pub fn sequential() -> Self {
         Self {
             width: 1,
@@ -89,204 +82,27 @@ impl ComputePool {
         }
     }
 
-    /// Attaches observer probes, one per pool lane (`probes[lane]` covers
-    /// chunk `lane`; extra probes are ignored, missing ones mean the lane is
-    /// unobserved).
+    /// Attaches observer probes, one per pool lane.
     #[must_use]
     pub fn with_probes(mut self, probes: Vec<Arc<dyn WorkerProbe>>) -> Self {
         self.probes = probes;
         self
     }
 
-    /// Maximum number of concurrent chunks (including the caller).
+    /// The pool's width.
     pub fn width(&self) -> usize {
         self.width
-    }
-
-    /// Whether a `run` can actually fan out (width > 1).
-    pub fn is_parallel(&self) -> bool {
-        self.width > 1
-    }
-
-    /// Runs `f(0..tasks)` and returns the results in task order.
-    ///
-    /// Tasks are split into at most `width` contiguous chunks; chunk 0 runs
-    /// on the calling thread, the rest on scoped threads. The fan-in is
-    /// deterministic: result `i` is always `f(i)`, so for independent tasks
-    /// the output is identical to `(0..tasks).map(f).collect()`.
-    pub fn run<T, F>(&self, tasks: usize, f: F) -> Vec<T>
-    where
-        T: Send,
-        F: Fn(usize) -> T + Sync,
-    {
-        if self.width <= 1 || tasks <= 1 {
-            return (0..tasks).map(f).collect();
-        }
-        let workers = self.width.min(tasks);
-        let base = tasks / workers;
-        let extra = tasks % workers;
-
-        let mut slots: Vec<Option<T>> = (0..tasks).map(|_| None).collect();
-        // Carve the slot vector into one disjoint mutable slice per chunk so
-        // each worker writes its own range without synchronisation.
-        let mut chunks: Vec<(usize, &mut [Option<T>])> = Vec::with_capacity(workers);
-        let mut rest = slots.as_mut_slice();
-        let mut start = 0;
-        for w in 0..workers {
-            let len = base + usize::from(w < extra);
-            let (head, tail) = rest.split_at_mut(len);
-            chunks.push((start, head));
-            start += len;
-            rest = tail;
-        }
-
-        let f = &f;
-        let probes = &self.probes;
-        std::thread::scope(|scope| {
-            let mut chunk_iter = chunks.into_iter();
-            let (start0, head0) = chunk_iter.next().expect("workers >= 1");
-            for (lane, (start, chunk)) in chunk_iter.enumerate() {
-                let lane = lane + 1;
-                scope.spawn(move || {
-                    let probe = probes.get(lane);
-                    if let Some(p) = probe {
-                        p.busy();
-                    }
-                    for (offset, slot) in chunk.iter_mut().enumerate() {
-                        *slot = Some(f(start + offset));
-                    }
-                    if let Some(p) = probe {
-                        p.idle();
-                    }
-                });
-            }
-            // Chunk 0 runs on the caller; the scope joins the rest.
-            let probe = probes.first();
-            if let Some(p) = probe {
-                p.busy();
-            }
-            for (offset, slot) in head0.iter_mut().enumerate() {
-                *slot = Some(f(start0 + offset));
-            }
-            if let Some(p) = probe {
-                p.idle();
-            }
-        });
-
-        slots
-            .into_iter()
-            .map(|slot| slot.expect("every task slot is filled"))
-            .collect()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::{AtomicUsize, Ordering};
-
-    #[test]
-    fn sequential_pool_runs_inline_in_order() {
-        let pool = ComputePool::sequential();
-        assert_eq!(pool.width(), 1);
-        assert!(!pool.is_parallel());
-        let out = pool.run(5, |i| i * 2);
-        assert_eq!(out, vec![0, 2, 4, 6, 8]);
-    }
 
     #[test]
     fn auto_width_resolves_to_host_parallelism() {
-        let pool = ComputePool::new(0);
-        assert!(pool.width() >= 1);
-    }
-
-    #[test]
-    fn parallel_results_are_index_ordered() {
-        let pool = ComputePool::new(4);
-        let out = pool.run(13, |i| i * i);
-        assert_eq!(out, (0..13).map(|i| i * i).collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn parallel_matches_sequential_for_all_task_counts() {
-        let seq = ComputePool::sequential();
-        for width in [2, 3, 8] {
-            let par = ComputePool::new(width);
-            for tasks in 0..20 {
-                assert_eq!(
-                    par.run(tasks, |i| i * 3 + 1),
-                    seq.run(tasks, |i| i * 3 + 1),
-                    "width={width} tasks={tasks}"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn zero_and_one_task_runs_are_trivial() {
-        let pool = ComputePool::new(8);
-        assert!(pool.run(0, |i| i).is_empty());
-        assert_eq!(pool.run(1, |i| i + 7), vec![7]);
-    }
-
-    #[test]
-    fn every_task_runs_exactly_once() {
-        let pool = ComputePool::new(3);
-        let counter = AtomicUsize::new(0);
-        let out = pool.run(17, |i| {
-            counter.fetch_add(1, Ordering::SeqCst);
-            i
-        });
-        assert_eq!(counter.load(Ordering::SeqCst), 17);
-        assert_eq!(out, (0..17).collect::<Vec<_>>());
-    }
-
-    struct CountingProbe {
-        busy: AtomicUsize,
-        idle: AtomicUsize,
-    }
-
-    impl WorkerProbe for CountingProbe {
-        fn busy(&self) {
-            self.busy.fetch_add(1, Ordering::SeqCst);
-        }
-        fn idle(&self) {
-            self.idle.fetch_add(1, Ordering::SeqCst);
-        }
-    }
-
-    #[test]
-    fn probes_observe_each_parallel_lane() {
-        let probes: Vec<Arc<CountingProbe>> = (0..3)
-            .map(|_| {
-                Arc::new(CountingProbe {
-                    busy: AtomicUsize::new(0),
-                    idle: AtomicUsize::new(0),
-                })
-            })
-            .collect();
-        let as_dyn: Vec<Arc<dyn WorkerProbe>> = probes
-            .iter()
-            .map(|p| Arc::clone(p) as Arc<dyn WorkerProbe>)
-            .collect();
-        let pool = ComputePool::new(3).with_probes(as_dyn);
-        pool.run(9, |i| i);
-        for probe in &probes {
-            assert_eq!(probe.busy.load(Ordering::SeqCst), 1);
-            assert_eq!(probe.idle.load(Ordering::SeqCst), 1);
-        }
-    }
-
-    #[test]
-    fn probes_are_silent_on_inline_runs() {
-        let probe = Arc::new(CountingProbe {
-            busy: AtomicUsize::new(0),
-            idle: AtomicUsize::new(0),
-        });
-        let pool =
-            ComputePool::new(4).with_probes(vec![Arc::clone(&probe) as Arc<dyn WorkerProbe>]);
-        pool.run(1, |i| i); // single task -> inline path, no probe activity
-        assert_eq!(probe.busy.load(Ordering::SeqCst), 0);
-        assert_eq!(probe.idle.load(Ordering::SeqCst), 0);
+        assert!(ComputePool::new(0).width() >= 1);
+        assert_eq!(ComputePool::new(3).width(), 3);
+        assert_eq!(ComputePool::default().width(), 1);
     }
 }

@@ -1,11 +1,11 @@
 //! Spiking linear (projection) layers.
 
-use bishop_neuron::{lif_over_time, LifConfig};
+use bishop_neuron::LifConfig;
 use bishop_spiketensor::words::simd;
-use bishop_spiketensor::{DenseMatrix, SpikeTensor};
+use bishop_spiketensor::{DenseMatrix, SpikeTensor, TensorShape};
 use rand::Rng;
 
-use crate::parallel::ComputePool;
+use crate::forward::{sized, Forward, Scratch};
 
 /// Multiplies the binary spike plane at timestep `t` (an `N × D_in` 0/1
 /// matrix) with a dense `D_in × D_out` weight matrix.
@@ -13,53 +13,48 @@ use crate::parallel::ComputePool;
 /// Because the left operand is binary this is exactly the "select
 /// accumulate" computation the Bishop dense core performs: for every active
 /// spike `(n, d_in)` the weight row `W[d_in, :]` is accumulated into output
-/// row `n`.
-///
-/// Word-parallel: each token's active input features are enumerated with the
-/// `trailing_zeros` set-bit iterator over the packed feature row, so the work
-/// is proportional to the number of spikes rather than `D_in`; the dense
-/// weight-row accumulation runs on the active SIMD tier's element-wise
-/// `add_assign` kernel (no reassociation, so still bit-for-bit identical to
-/// [`spike_matmul_reference`]).
+/// row `n`. Allocates the output and fills it with [`spike_matmul_into`].
 ///
 /// # Panics
 ///
 /// Panics if the weight row count differs from the spike tensor's feature
 /// count or `t` is out of range.
 pub fn spike_matmul(spikes: &SpikeTensor, t: usize, weight: &DenseMatrix) -> DenseMatrix {
-    let shape = spikes.shape();
-    assert!(t < shape.timesteps, "timestep {t} out of range");
-    assert_eq!(
-        weight.rows(),
-        shape.features,
-        "weight rows ({}) must equal input features ({})",
-        weight.rows(),
-        shape.features
-    );
-    let kernels = simd::active();
-    let mut out = DenseMatrix::zeros(shape.tokens, weight.cols());
-    for n in 0..shape.tokens {
-        for d_in in spikes.row_words(t, n).iter_set_bits() {
-            kernels.add_assign(out.row_mut(n), weight.row(d_in));
-        }
-    }
+    let mut out = DenseMatrix::zeros(spikes.shape().tokens, weight.cols());
+    spike_matmul_into(spikes, t, weight, &mut out);
     out
 }
 
-/// Pool-parallel variant of [`spike_matmul`]: output token rows are
-/// independent, so they are fanned across the compute pool and reassembled
-/// in token order. Each row runs the exact same accumulation sequence as
-/// the sequential kernel, so the result is bit-for-bit identical to
-/// [`spike_matmul`] at any pool width.
-pub fn spike_matmul_with(
+/// [`spike_matmul`] into a caller-owned `N × D_out` plane, overwriting
+/// whatever it held.
+///
+/// Spike-proportional and output-stationary: each token's active input
+/// features come from the `trailing_zeros` set-bit iterator over its packed
+/// row, and the active SIMD tier's `row_accumulate` kernel sums those weight
+/// rows with the partial sums held in registers, storing each output row
+/// once. Per element the additions run in ascending `d_in` order from `0.0`
+/// — bit-for-bit identical to [`spike_matmul_reference`].
+///
+/// # Panics
+///
+/// Panics if the weight row count differs from the spike tensor's feature
+/// count, `t` is out of range, or `plane` is not `N × D_out`.
+pub fn spike_matmul_into(
     spikes: &SpikeTensor,
     t: usize,
     weight: &DenseMatrix,
-    pool: &ComputePool,
-) -> DenseMatrix {
-    if !pool.is_parallel() {
-        return spike_matmul(spikes, t, weight);
-    }
+    plane: &mut DenseMatrix,
+) {
+    assert_eq!(
+        (plane.rows(), plane.cols()),
+        (spikes.shape().tokens, weight.cols()),
+        "integration plane must be tokens × output features"
+    );
+    integrate_into(spikes, t, weight, plane.as_mut_slice(), &mut Vec::new());
+}
+
+/// The spike tensor's shape, once `t` and the weight's row count fit it.
+fn checked_shape(spikes: &SpikeTensor, t: usize, weight: &DenseMatrix) -> TensorShape {
     let shape = spikes.shape();
     assert!(t < shape.timesteps, "timestep {t} out of range");
     assert_eq!(
@@ -69,29 +64,33 @@ pub fn spike_matmul_with(
         weight.rows(),
         shape.features
     );
-    let rows = pool.run(shape.tokens, |n| {
-        let kernels = simd::active();
-        let mut row = vec![0.0_f32; weight.cols()];
-        for d_in in spikes.row_words(t, n).iter_set_bits() {
-            kernels.add_assign(&mut row, weight.row(d_in));
-        }
-        row
-    });
-    DenseMatrix::from_rows(&rows)
+    shape
+}
+
+/// [`spike_matmul_into`] on a flat plane; `active` is the reused buffer of
+/// one token's active input features.
+pub(crate) fn integrate_into(
+    spikes: &SpikeTensor,
+    t: usize,
+    weight: &DenseMatrix,
+    plane: &mut [f32],
+    active: &mut Vec<usize>,
+) {
+    let shape = checked_shape(spikes, t, weight);
+    let cols = weight.cols();
+    assert_eq!(plane.len(), shape.tokens * cols);
+    let kernels = simd::active();
+    for (n, out) in plane.chunks_exact_mut(cols).enumerate() {
+        active.clear();
+        active.extend(spikes.row_words(t, n).iter_set_bits());
+        kernels.row_accumulate(out, weight.as_slice(), active);
+    }
 }
 
 /// Scalar reference implementation of [`spike_matmul`], kept for
 /// differential testing and the before/after kernel benchmarks.
 pub fn spike_matmul_reference(spikes: &SpikeTensor, t: usize, weight: &DenseMatrix) -> DenseMatrix {
-    let shape = spikes.shape();
-    assert!(t < shape.timesteps, "timestep {t} out of range");
-    assert_eq!(
-        weight.rows(),
-        shape.features,
-        "weight rows ({}) must equal input features ({})",
-        weight.rows(),
-        shape.features
-    );
+    let shape = checked_shape(spikes, t, weight);
     let mut out = DenseMatrix::zeros(shape.tokens, weight.cols());
     for n in 0..shape.tokens {
         for d_in in 0..shape.features {
@@ -170,40 +169,26 @@ impl SpikingLinear {
         self.lif
     }
 
-    /// Computes the per-timestep synaptic integration `X[t] · W` without
-    /// applying the LIF stage. Exposed because the Bishop spike generator
-    /// consumes exactly this intermediate quantity.
-    pub fn synaptic_integration(&self, input: &SpikeTensor) -> Vec<DenseMatrix> {
-        self.synaptic_integration_with(input, &ComputePool::sequential())
-    }
-
-    /// Pool-parallel [`SpikingLinear::synaptic_integration`]: timesteps are
-    /// independent before the LIF stage (the membrane coupling happens in
-    /// `lif_over_time`), so they are fanned across the compute pool. A
-    /// single-timestep input falls back to row-chunked
-    /// [`spike_matmul_with`]. Bit-identical to the sequential path.
-    pub fn synaptic_integration_with(
-        &self,
-        input: &SpikeTensor,
-        pool: &ComputePool,
-    ) -> Vec<DenseMatrix> {
-        let timesteps = input.shape().timesteps;
-        if timesteps == 1 {
-            return vec![spike_matmul_with(input, 0, &self.weight, pool)];
-        }
-        pool.run(timesteps, |t| spike_matmul(input, t, &self.weight))
-    }
-
     /// Full forward pass: synaptic integration followed by the LIF layer.
     pub fn forward(&self, input: &SpikeTensor) -> SpikeTensor {
-        self.forward_with(input, &ComputePool::sequential())
+        self.forward_in(input, &mut Forward::standalone(&mut Scratch::default()))
     }
 
-    /// Pool-parallel [`SpikingLinear::forward`]; bit-identical at any pool
-    /// width.
-    pub fn forward_with(&self, input: &SpikeTensor, pool: &ComputePool) -> SpikeTensor {
-        let integration = self.synaptic_integration_with(input, pool);
-        lif_over_time(&integration, self.lif)
+    /// The forward pass every path runs: per timestep, integrate into the
+    /// one reused scratch plane and fire the layer's spike generator (from
+    /// `ctx`) straight into the output tensor's words.
+    pub(crate) fn forward_in(&self, input: &SpikeTensor, ctx: &mut Forward<'_>) -> SpikeTensor {
+        let shape = input.shape();
+        let units = shape.tokens * self.out_features();
+        let out_shape = TensorShape::new(shape.timesteps, shape.tokens, self.out_features());
+        let Scratch { plane, active, .. } = &mut *ctx.scratch;
+        let plane = sized(plane, units);
+        ctx.membranes.with_next(units, self.lif, |lif| {
+            SpikeTensor::from_plane_words(out_shape, |t, fired| {
+                integrate_into(input, t, &self.weight, plane, active);
+                lif.step_packed(plane, fired);
+            })
+        })
     }
 }
 
@@ -281,15 +266,5 @@ mod tests {
         );
         let x = SpikeTensor::ones(TensorShape::new(4, 4, 4));
         assert!(strong.forward(&x).count_ones() > weak.forward(&x).count_ones());
-    }
-
-    #[test]
-    fn synaptic_integration_has_one_matrix_per_timestep() {
-        let layer = SpikingLinear::from_weight(DenseMatrix::zeros(4, 2), LifConfig::default());
-        let x = SpikeTensor::zeros(TensorShape::new(5, 3, 4));
-        let integration = layer.synaptic_integration(&x);
-        assert_eq!(integration.len(), 5);
-        assert_eq!(integration[0].rows(), 3);
-        assert_eq!(integration[0].cols(), 2);
     }
 }

@@ -1,11 +1,11 @@
 //! Multi-head Spiking Self-Attention (SSA), Eq. 3–8 of the paper.
 
-use bishop_neuron::{lif_over_time, LifConfig};
+use bishop_neuron::LifConfig;
 use bishop_spiketensor::words::simd;
 use bishop_spiketensor::{DenseMatrix, SpikeTensor, TensorShape};
 use rand::Rng;
 
-use crate::parallel::ComputePool;
+use crate::forward::{sized, Forward, HeadWords, Scratch};
 use crate::projection::SpikingLinear;
 
 /// The SSA `S·V` select-accumulate for one head and one timestep:
@@ -35,21 +35,42 @@ pub fn select_accumulate(
     let tokens = v.shape().tokens;
     assert_eq!(s.rows(), tokens, "score rows must equal token count");
     assert_eq!(s.cols(), tokens, "score cols must equal token count");
+    let cols = head_output.cols();
+    let plane = head_output.as_mut_slice();
+    let words = &mut HeadWords::default();
+    select_accumulate_into(plane, cols, s.as_slice(), scale, v, t, d0..d1, words);
+}
+
+/// [`select_accumulate`] on flat buffers (`plane` is `tokens × cols`, `s`
+/// is `tokens × tokens`) with caller-owned word lists.
+#[allow(clippy::too_many_arguments)]
+fn select_accumulate_into(
+    plane: &mut [f32],
+    cols: usize,
+    s: &[f32],
+    scale: f32,
+    v: &SpikeTensor,
+    t: usize,
+    head: std::ops::Range<usize>,
+    words: &mut HeadWords,
+) {
+    let tokens = v.shape().tokens;
     let kernels = simd::active();
-    let mut v_bits: Vec<u64> = Vec::with_capacity((d1 - d0).div_ceil(64));
+    let v_bits = &mut words.v_bits;
     for j in 0..tokens {
-        let v_row = v.row_feature_slice(t, j, d0, d1);
+        let v_row = v.row_feature_slice(t, j, head.start, head.end);
         v_bits.clear();
         v_bits.extend((0..v_row.word_count()).map(|i| v_row.word(i)));
         if v_bits.iter().all(|&w| w == 0) {
             continue;
         }
         for i in 0..tokens {
-            let weight = s.get(i, j) * scale;
+            let weight = s[i * tokens + j] * scale;
             if weight == 0.0 {
                 continue;
             }
-            kernels.masked_add(&mut head_output.row_mut(i)[d0..d1], &v_bits, weight);
+            let row = &mut plane[i * cols..][head.clone()];
+            kernels.masked_add(row, v_bits, weight);
         }
     }
 }
@@ -86,6 +107,62 @@ pub fn select_accumulate_reference(
     }
 }
 
+/// Gathers the rows of `x` with at least one spike inside `head` at
+/// timestep `t`: their token indices into `rows`, their logical head words
+/// back to back into `words`.
+fn gather_head_rows(
+    x: &SpikeTensor,
+    t: usize,
+    head: &std::ops::Range<usize>,
+    rows: &mut Vec<usize>,
+    words: &mut Vec<u64>,
+) {
+    rows.clear();
+    words.clear();
+    for n in 0..x.shape().tokens {
+        let row = x.row_feature_slice(t, n, head.start, head.end);
+        let at = words.len();
+        words.extend((0..row.word_count()).map(|i| row.word(i)));
+        if words[at..].iter().all(|&w| w == 0) {
+            words.truncate(at);
+        } else {
+            rows.push(n);
+        }
+    }
+}
+
+/// [`SpikingSelfAttention::attention_scores_in`] into a flat
+/// `tokens × tokens` buffer, overwriting it, with caller-owned word lists.
+fn scores_into(
+    q: &SpikeTensor,
+    k: &SpikeTensor,
+    t: usize,
+    head: std::ops::Range<usize>,
+    s: &mut [f32],
+    words: &mut HeadWords,
+) {
+    assert_eq!(q.shape(), k.shape(), "Q and K must have identical shapes");
+    let tokens = q.shape().tokens;
+    s.fill(0.0);
+    gather_head_rows(q, t, &head, &mut words.q_rows, &mut words.q_words);
+    gather_head_rows(k, t, &head, &mut words.k_rows, &mut words.k_words);
+    let row_words = head.len().div_ceil(64).max(1);
+    let kernels = simd::active();
+    let long = row_words >= simd::DISPATCH_MIN_WORDS;
+    let live_q = (words.q_rows.iter()).zip(words.q_words.chunks_exact(row_words));
+    for (&i, qi) in live_q {
+        let live_k = (words.k_rows.iter()).zip(words.k_words.chunks_exact(row_words));
+        for (&j, kj) in live_k {
+            let overlap = if long {
+                kernels.and_popcount(qi, kj) as u32
+            } else {
+                qi.iter().zip(kj).map(|(a, b)| (a & b).count_ones()).sum()
+            };
+            s[i * tokens + j] = overlap as f32;
+        }
+    }
+}
+
 /// Output bundle of an SSA block forward pass.
 ///
 /// Besides the block output it exposes the intermediate binary tensors the
@@ -107,23 +184,6 @@ pub struct SsaOutput {
     /// Block output after the final projection `W_O` and its LIF stage,
     /// `T × N × D`.
     pub output: SpikeTensor,
-    /// Integer attention score matrices, indexed `[head][timestep]`, each
-    /// `N × N`. Scores are *unscaled* accumulations of AND operations; the
-    /// power-of-two scaling is applied when computing `Y`.
-    pub scores: Vec<Vec<DenseMatrix>>,
-}
-
-impl SsaOutput {
-    /// Maximum attention score observed across all heads/timesteps; bounded
-    /// by the per-head feature count because Q/K are binary (this is the
-    /// property ECP's error bound builds on).
-    pub fn max_score(&self) -> f32 {
-        self.scores
-            .iter()
-            .flatten()
-            .map(|m| m.as_slice().iter().cloned().fold(0.0, f32::max))
-            .fold(0.0, f32::max)
-    }
 }
 
 /// A multi-head spiking self-attention block.
@@ -220,11 +280,12 @@ impl SpikingSelfAttention {
     /// `d_start..d_end` (one head's features), without materialising head
     /// slices.
     ///
-    /// Each Q/K row's logical head words are assembled **once** from its
-    /// zero-copy [`bishop_spiketensor::RowBits`] sub-row view
-    /// (`N·⌈width/64⌉` words per side), so the `tokens²` pair loop is a
-    /// plain AND + popcount over aligned words whatever the head's bit
-    /// offset — a 32-feature head never sits on a word boundary.
+    /// Work is proportional to the rows that spiked — the software form of
+    /// the attention core's zero-bundle skip. The Q and K rows with a spike
+    /// inside the head are gathered **once** into packed word lists and only
+    /// those pairs are scored: a plain AND + popcount over aligned logical
+    /// words whatever the head's bit offset. A skipped pair is exactly the
+    /// `0.0` it would have scored.
     pub fn attention_scores_in(
         q: &SpikeTensor,
         k: &SpikeTensor,
@@ -232,35 +293,10 @@ impl SpikingSelfAttention {
         d_start: usize,
         d_end: usize,
     ) -> DenseMatrix {
-        assert_eq!(q.shape(), k.shape(), "Q and K must have identical shapes");
         let tokens = q.shape().tokens;
         let mut s = DenseMatrix::zeros(tokens, tokens);
-        let row_words = (d_end - d_start).div_ceil(64);
-        if row_words == 0 {
-            return s;
-        }
-        let head_words = |x: &SpikeTensor| -> Vec<u64> {
-            (0..tokens)
-                .flat_map(|n| {
-                    let row = x.row_feature_slice(t, n, d_start, d_end);
-                    (0..row_words).map(move |i| row.word(i))
-                })
-                .collect()
-        };
-        let (q_words, k_words) = (head_words(q), head_words(k));
-        let kernels = simd::active();
-        let long = row_words >= simd::DISPATCH_MIN_WORDS;
-        for (i, qi) in q_words.chunks_exact(row_words).enumerate() {
-            let pairs = s.row_mut(i).iter_mut().zip(k_words.chunks_exact(row_words));
-            for (out, kj) in pairs {
-                let overlap = if long {
-                    kernels.and_popcount(qi, kj) as u32
-                } else {
-                    qi.iter().zip(kj).map(|(a, b)| (a & b).count_ones()).sum()
-                };
-                *out = overlap as f32;
-            }
-        }
+        let head = d_start..d_end;
+        scores_into(q, k, t, head, s.as_mut_slice(), &mut HeadWords::default());
         s
     }
 
@@ -288,61 +324,44 @@ impl SpikingSelfAttention {
 
     /// Full forward pass of the SSA block.
     pub fn forward(&self, x: &SpikeTensor) -> SsaOutput {
-        self.forward_with(x, &ComputePool::sequential())
+        self.forward_in(x, &mut Forward::standalone(&mut Scratch::default()))
     }
 
-    /// Pool-parallel [`SpikingSelfAttention::forward`].
+    /// The forward pass every path runs, over whatever timesteps `x` holds.
     ///
-    /// The score + select-accumulate stage fans out over *timesteps*: each
-    /// task computes every head's `S` matrix (ascending head order) and the
-    /// full concatenated head-output plane for its timestep. Heads write
-    /// disjoint feature columns and timesteps are independent before the
-    /// `O_temp` LIF stage, so any pool width produces bit-for-bit the same
-    /// activations as the sequential pass.
-    pub fn forward_with(&self, x: &SpikeTensor, pool: &ComputePool) -> SsaOutput {
+    /// Per timestep every head's `S` lands in the one reused score matrix,
+    /// its `S·V` in the head's columns of the one head-output plane, and
+    /// the `O_temp` spike generator (Eq. 7; it shares the Q projection's
+    /// neuron configuration) fires that plane into the output words —
+    /// heads in ascending order whether `x` holds one timestep or `T`.
+    pub(crate) fn forward_in(&self, x: &SpikeTensor, ctx: &mut Forward<'_>) -> SsaOutput {
         let shape = x.shape();
-        let q = self.wq.forward_with(x, pool);
-        let k = self.wk.forward_with(x, pool);
-        let v = self.wv.forward_with(x, pool);
+        let q = self.wq.forward_in(x, ctx);
+        let k = self.wk.forward_in(x, ctx);
+        let v = self.wv.forward_in(x, ctx);
 
         let head_dim = shape.features / self.heads;
         let scale = 2.0_f32.powi(-(self.scale_shift as i32));
-        let heads = self.heads;
-
-        let per_timestep = pool.run(shape.timesteps, |t| {
-            // Synaptic input to the O_temp LIF layer: concatenated head
-            // outputs for this timestep.
-            let mut head_output = DenseMatrix::zeros(shape.tokens, shape.features);
-            let mut timestep_scores = Vec::with_capacity(heads);
-            for h in 0..heads {
-                let d0 = h * head_dim;
-                let d1 = d0 + head_dim;
-                // Q/K/V head sub-rows are zero-copy word views; no
-                // head_slice copies on the hot path.
-                let s = Self::attention_scores_in(&q, &k, t, d0, d1);
-                // Y[t] = (S · s) · V[t]  — V is binary, so this is the
-                // spike-masked select-accumulate kernel.
-                select_accumulate(&mut head_output, &s, scale, &v, t, d0, d1);
-                timestep_scores.push(s);
-            }
-            (timestep_scores, head_output)
+        let d = shape.features;
+        let units = shape.tokens * d;
+        let plane = sized(&mut ctx.scratch.plane, units);
+        let scores = sized(&mut ctx.scratch.scores, shape.tokens * shape.tokens);
+        let words = &mut ctx.scratch.heads;
+        let o_temp = ctx.membranes.with_next(units, self.wq.lif_config(), |lif| {
+            SpikeTensor::from_plane_words(shape, |t, fired| {
+                plane.fill(0.0);
+                for h in 0..self.heads {
+                    let head = h * head_dim..(h + 1) * head_dim;
+                    scores_into(&q, &k, t, head.clone(), scores, words);
+                    // Y[t] = (S · s) · V[t]  — V is binary, so this is the
+                    // spike-masked select-accumulate kernel.
+                    select_accumulate_into(plane, d, scores, scale, &v, t, head, words);
+                }
+                lif.step_packed(plane, fired);
+            })
         });
-
-        let mut scores: Vec<Vec<DenseMatrix>> = (0..heads)
-            .map(|_| Vec::with_capacity(shape.timesteps))
-            .collect();
-        let mut head_outputs: Vec<DenseMatrix> = Vec::with_capacity(shape.timesteps);
-        for (timestep_scores, head_output) in per_timestep {
-            for (h, s) in timestep_scores.into_iter().enumerate() {
-                scores[h].push(s);
-            }
-            head_outputs.push(head_output);
-        }
-
-        // Eq. 7: LIF over the concatenated head outputs.
-        let o_temp = lif_over_time(&head_outputs, self.wq.lif_config());
         // Eq. 8 + re-binarisation by the next stage's spike generator.
-        let output = self.wo.forward_with(&o_temp, pool);
+        let output = self.wo.forward_in(&o_temp, ctx);
 
         SsaOutput {
             q,
@@ -350,7 +369,6 @@ impl SpikingSelfAttention {
             v,
             o_temp,
             output,
-            scores,
         }
     }
 
@@ -392,7 +410,10 @@ mod tests {
         let x = SpikeTensor::ones(shape);
         let out = ssa.forward(&x);
         // Per-head feature count is 4, so no score can exceed 4.
-        assert!(out.max_score() <= 4.0);
+        for (t, h) in [(0, 0), (1, 3)] {
+            let s = SpikingSelfAttention::attention_scores_in(&out.q, &out.k, t, h * 4, h * 4 + 4);
+            assert!(s.as_slice().iter().all(|&score| score <= 4.0));
+        }
     }
 
     #[test]
@@ -406,9 +427,6 @@ mod tests {
         assert_eq!(out.v.shape(), shape);
         assert_eq!(out.o_temp.shape(), shape);
         assert_eq!(out.output.shape(), shape);
-        assert_eq!(out.scores.len(), 2);
-        assert_eq!(out.scores[0].len(), 3);
-        assert_eq!(out.scores[0][0].rows(), 5);
     }
 
     #[test]
@@ -419,7 +437,6 @@ mod tests {
         assert_eq!(out.q.count_ones(), 0);
         assert_eq!(out.k.count_ones(), 0);
         assert_eq!(out.o_temp.count_ones(), 0);
-        assert_eq!(out.max_score(), 0.0);
     }
 
     #[test]

@@ -18,12 +18,12 @@
 //! [`TransformerStepper::resume`]. A session split across requests
 //! therefore produces exactly the logits of one long request.
 
-use bishop_neuron::LifLayer;
+use bishop_neuron::{LifConfig, LifLayer};
 use bishop_spiketensor::DenseMatrix;
 
+use crate::encoder::EncoderBlock;
+use crate::forward::{Forward, Membranes, Scratch};
 use crate::parallel::ComputePool;
-use crate::projection::{spike_matmul, spike_matmul_with};
-use crate::ssa::{select_accumulate, SpikingSelfAttention};
 use crate::transformer::SpikingTransformer;
 
 /// Exported LIF membrane state of one encoder block (one vector per spike
@@ -94,20 +94,13 @@ pub struct PooledReadout {
     pub prediction: usize,
 }
 
-/// Per-block LIF layers of a live stepper.
-#[derive(Debug)]
-struct BlockLayers {
-    wq: LifLayer,
-    wk: LifLayer,
-    wv: LifLayer,
-    o_temp: LifLayer,
-    wo: LifLayer,
-    fc1: LifLayer,
-    fc2: LifLayer,
-}
-
 /// Executes a [`SpikingTransformer`] one timestep at a time with
 /// persistent, exportable LIF state.
+///
+/// A step is the model's own forward pass — the same `EncoderBlock` code
+/// [`SpikingTransformer::infer`] runs — over a one-timestep tensor, with
+/// this stepper's LIF layers carrying the membranes and its scratch set
+/// reused across steps.
 #[derive(Debug)]
 pub struct TransformerStepper<'a> {
     model: &'a SpikingTransformer,
@@ -115,10 +108,32 @@ pub struct TransformerStepper<'a> {
     /// timesteps under direct encoding.
     charge: DenseMatrix,
     tokenizer: LifLayer,
-    blocks: Vec<BlockLayers>,
+    /// Seven spike generators per block, in the order the forward pass
+    /// fires them (the field order of [`BlockState`]).
+    lifs: Vec<LifLayer>,
     pooled_counts: Vec<u64>,
     timesteps_done: usize,
-    pool: ComputePool,
+    scratch: Scratch,
+}
+
+/// Spike generators per encoder block.
+const BLOCK_GENERATORS: usize = 7;
+
+/// The spike generators of `block` in the order its forward pass fires them
+/// — the field order of [`BlockState`] — each with its neuron count.
+fn generators(tokens: usize, block: &EncoderBlock) -> [(LifConfig, usize); BLOCK_GENERATORS] {
+    let (ssa, mlp) = (block.ssa(), block.mlp());
+    // Eq. 7: the O_temp stage shares the Q projection's neuron configuration.
+    let layers = [
+        ssa.wq(),
+        ssa.wk(),
+        ssa.wv(),
+        ssa.wq(),
+        ssa.wo(),
+        mlp.fc1(),
+        mlp.fc2(),
+    ];
+    layers.map(|layer| (layer.lif_config(), tokens * layer.out_features()))
 }
 
 impl<'a> TransformerStepper<'a> {
@@ -131,53 +146,36 @@ impl<'a> TransformerStepper<'a> {
     /// features for the model.
     pub fn new(model: &'a SpikingTransformer, patches: &DenseMatrix) -> Self {
         let config = model.config();
-        assert_eq!(
-            patches.rows(),
-            config.tokens,
-            "expected {} tokens, got {}",
-            config.tokens,
-            patches.rows()
-        );
-        let charge = patches.matmul(model.tokenizer().weight());
-        let units = config.tokens * config.features;
-        let hidden_units = config.tokens * config.mlp_hidden();
-        let blocks = model
-            .blocks()
-            .iter()
-            .map(|block| {
-                let ssa = block.ssa();
-                let mlp = block.mlp();
-                BlockLayers {
-                    wq: LifLayer::new(units, ssa.wq().lif_config()),
-                    wk: LifLayer::new(units, ssa.wk().lif_config()),
-                    wv: LifLayer::new(units, ssa.wv().lif_config()),
-                    // Eq. 7: the O_temp LIF stage shares the Q projection's
-                    // neuron configuration (matching `SpikingSelfAttention`).
-                    o_temp: LifLayer::new(units, ssa.wq().lif_config()),
-                    wo: LifLayer::new(units, ssa.wo().lif_config()),
-                    fc1: LifLayer::new(hidden_units, mlp.fc1().lif_config()),
-                    fc2: LifLayer::new(units, mlp.fc2().lif_config()),
-                }
-            })
-            .collect();
-        Self {
-            model,
-            charge,
-            tokenizer: LifLayer::new(units, model.tokenizer().lif_config()),
-            blocks,
+        let at_reset = |(lif, units): (LifConfig, usize)| vec![lif.v_reset; units];
+        let blocks = model.blocks().iter().map(|block| {
+            let [wq, wk, wv, o_temp, wo, fc1, fc2] = generators(config.tokens, block).map(at_reset);
+            BlockState {
+                wq,
+                wk,
+                wv,
+                o_temp,
+                wo,
+                fc1,
+                fc2,
+            }
+        });
+        let state = ModelState {
+            tokenizer: at_reset((
+                model.tokenizer().lif_config(),
+                config.tokens * config.features,
+            )),
+            blocks: blocks.collect(),
             pooled_counts: vec![0; config.features],
             timesteps_done: 0,
-            pool: ComputePool::sequential(),
-        }
+        };
+        Self::resume(model, patches, state)
     }
 
-    /// Attaches a compute pool: the Q/K/V integrations, the per-head
-    /// score/select stage, and the projection matmuls of each step fan out
-    /// across it. Stepping stays bit-for-bit identical to the sequential
-    /// stepper (and therefore to the full-tensor pass) at any pool width.
+    /// Accepts the engine's compute pool. Steps run on the calling thread
+    /// at every pool width (see [`crate::parallel`]), so this changes
+    /// nothing about how the stepper executes.
     #[must_use]
-    pub fn with_pool(mut self, pool: ComputePool) -> Self {
-        self.pool = pool;
+    pub fn with_pool(self, _pool: ComputePool) -> Self {
         self
     }
 
@@ -185,15 +183,22 @@ impl<'a> TransformerStepper<'a> {
     ///
     /// The patch input must be the same one the exporting stepper ran on
     /// (sessions pin their input seed for exactly this reason); the state's
-    /// layer widths must match the model architecture.
+    /// layer widths must match the model architecture. Widths are checked
+    /// and each LIF layer built from its snapshot before any work is done.
     ///
     /// # Panics
     ///
-    /// Panics if the state's dimensions do not match the model.
+    /// Panics if the patch matrix or the state's dimensions do not match
+    /// the model.
     pub fn resume(model: &'a SpikingTransformer, patches: &DenseMatrix, state: ModelState) -> Self {
         let config = model.config();
-        let units = config.tokens * config.features;
-        let hidden_units = config.tokens * config.mlp_hidden();
+        assert_eq!(
+            patches.rows(),
+            config.tokens,
+            "expected {} tokens, got {}",
+            config.tokens,
+            patches.rows()
+        );
         assert_eq!(
             state.blocks.len(),
             model.blocks().len(),
@@ -203,7 +208,7 @@ impl<'a> TransformerStepper<'a> {
         );
         assert_eq!(
             state.tokenizer.len(),
-            units,
+            config.tokens * config.features,
             "tokenizer state width does not match the model"
         );
         assert_eq!(
@@ -211,38 +216,36 @@ impl<'a> TransformerStepper<'a> {
             config.features,
             "pooled-count width does not match the model"
         );
-        let mut stepper = Self::new(model, patches);
-        stepper.tokenizer =
-            LifLayer::from_potentials(model.tokenizer().lif_config(), state.tokenizer);
-        for ((layers, snapshot), block) in stepper
-            .blocks
-            .iter_mut()
-            .zip(state.blocks)
-            .zip(model.blocks())
-        {
-            let ssa = block.ssa();
-            let mlp = block.mlp();
-            assert!(
-                snapshot.wq.len() == units
-                    && snapshot.wk.len() == units
-                    && snapshot.wv.len() == units
-                    && snapshot.o_temp.len() == units
-                    && snapshot.wo.len() == units
-                    && snapshot.fc1.len() == hidden_units
-                    && snapshot.fc2.len() == units,
-                "block state widths do not match the model"
-            );
-            layers.wq = LifLayer::from_potentials(ssa.wq().lif_config(), snapshot.wq);
-            layers.wk = LifLayer::from_potentials(ssa.wk().lif_config(), snapshot.wk);
-            layers.wv = LifLayer::from_potentials(ssa.wv().lif_config(), snapshot.wv);
-            layers.o_temp = LifLayer::from_potentials(ssa.wq().lif_config(), snapshot.o_temp);
-            layers.wo = LifLayer::from_potentials(ssa.wo().lif_config(), snapshot.wo);
-            layers.fc1 = LifLayer::from_potentials(mlp.fc1().lif_config(), snapshot.fc1);
-            layers.fc2 = LifLayer::from_potentials(mlp.fc2().lif_config(), snapshot.fc2);
+        let mut lifs = Vec::with_capacity(BLOCK_GENERATORS * state.blocks.len());
+        for (block, snapshot) in model.blocks().iter().zip(state.blocks) {
+            let membranes = [
+                snapshot.wq,
+                snapshot.wk,
+                snapshot.wv,
+                snapshot.o_temp,
+                snapshot.wo,
+                snapshot.fc1,
+                snapshot.fc2,
+            ];
+            for ((lif, units), v_mem) in generators(config.tokens, block).into_iter().zip(membranes)
+            {
+                assert_eq!(
+                    v_mem.len(),
+                    units,
+                    "block state widths do not match the model"
+                );
+                lifs.push(LifLayer::from_potentials(lif, v_mem));
+            }
         }
-        stepper.pooled_counts = state.pooled_counts;
-        stepper.timesteps_done = state.timesteps_done;
-        stepper
+        Self {
+            model,
+            charge: patches.matmul(model.tokenizer().weight()),
+            tokenizer: LifLayer::from_potentials(model.tokenizer().lif_config(), state.tokenizer),
+            lifs,
+            pooled_counts: state.pooled_counts,
+            timesteps_done: state.timesteps_done,
+            scratch: Scratch::default(),
+        }
     }
 
     /// Timesteps executed so far (including any resumed history).
@@ -253,68 +256,13 @@ impl<'a> TransformerStepper<'a> {
     /// Executes one timestep through every layer, updating all membrane
     /// state and the pooled spike history.
     pub fn step(&mut self) -> StepOutcome {
-        let config = self.model.config();
-        let (tokens, features) = (config.tokens, config.features);
         let mut x = self.tokenizer.step_planes([&self.charge]);
-
-        for (block, layers) in self.model.blocks().iter().zip(self.blocks.iter_mut()) {
-            let ssa = block.ssa();
-            let mlp = block.mlp();
-            // The three Q/K/V synaptic integrations read the same input and
-            // are independent, so they fan out as a triple; the LIF steps
-            // stay on the caller (they mutate per-layer membrane state).
-            let weights = [ssa.wq().weight(), ssa.wk().weight(), ssa.wv().weight()];
-            let qkv = self.pool.run(3, |i| spike_matmul(&x, 0, weights[i]));
-            let q = layers.wq.step_planes([&qkv[0]]);
-            let k = layers.wk.step_planes([&qkv[1]]);
-            let v = layers.wv.step_planes([&qkv[2]]);
-
-            // One timestep of multi-head attention via the shared
-            // score/select-accumulate kernels, accumulated in exactly the
-            // order of `SpikingSelfAttention::forward` so the f32 sums match
-            // the full-tensor pass bit for bit. Heads write disjoint feature
-            // columns, so the parallel path computes per-head planes and
-            // copies their exact bits into place.
-            let head_dim = features / ssa.heads();
-            let scale = 2.0_f32.powi(-(ssa.scale_shift() as i32));
-            let mut head_output = DenseMatrix::zeros(tokens, features);
-            if self.pool.is_parallel() {
-                let partials = self.pool.run(ssa.heads(), |h| {
-                    let d0 = h * head_dim;
-                    let d1 = d0 + head_dim;
-                    let s = SpikingSelfAttention::attention_scores_in(&q, &k, 0, d0, d1);
-                    let mut partial = DenseMatrix::zeros(tokens, features);
-                    select_accumulate(&mut partial, &s, scale, &v, 0, d0, d1);
-                    partial
-                });
-                for (h, partial) in partials.iter().enumerate() {
-                    let d0 = h * head_dim;
-                    let d1 = d0 + head_dim;
-                    for i in 0..tokens {
-                        head_output.row_mut(i)[d0..d1].copy_from_slice(&partial.row(i)[d0..d1]);
-                    }
-                }
-            } else {
-                for h in 0..ssa.heads() {
-                    let d0 = h * head_dim;
-                    let d1 = d0 + head_dim;
-                    let s = SpikingSelfAttention::attention_scores_in(&q, &k, 0, d0, d1);
-                    select_accumulate(&mut head_output, &s, scale, &v, 0, d0, d1);
-                }
-            }
-            let o_temp = layers.o_temp.step_planes([&head_output]);
-            let projected = spike_matmul_with(&o_temp, 0, ssa.wo().weight(), &self.pool);
-            let ssa_out = layers.wo.step_planes([&projected]);
-            let mlp_input = x
-                .or(&ssa_out)
-                .expect("SSA output shape matches its input shape");
-            let fc1 = spike_matmul_with(&mlp_input, 0, mlp.fc1().weight(), &self.pool);
-            let hidden = layers.fc1.step_planes([&fc1]);
-            let fc2 = spike_matmul_with(&hidden, 0, mlp.fc2().weight(), &self.pool);
-            let mlp_out = layers.fc2.step_planes([&fc2]);
-            x = mlp_input
-                .or(&mlp_out)
-                .expect("MLP output shape matches its input shape");
+        let mut ctx = Forward {
+            scratch: &mut self.scratch,
+            membranes: Membranes::Kept(self.lifs.iter_mut()),
+        };
+        for block in self.model.blocks() {
+            x = block.forward_in(&x, &mut ctx).output;
         }
 
         let spikes = x.count_ones();
@@ -331,21 +279,22 @@ impl<'a> TransformerStepper<'a> {
     /// Exports the full LIF state and pooled history (the stepper remains
     /// usable).
     pub fn export(&self) -> ModelState {
+        let blocks = self.lifs.chunks_exact(BLOCK_GENERATORS).map(|lifs| {
+            let [wq, wk, wv, o_temp, wo, fc1, fc2] =
+                std::array::from_fn(|i| lifs[i].membrane_potentials().to_vec());
+            BlockState {
+                wq,
+                wk,
+                wv,
+                o_temp,
+                wo,
+                fc1,
+                fc2,
+            }
+        });
         ModelState {
             tokenizer: self.tokenizer.membrane_potentials().to_vec(),
-            blocks: self
-                .blocks
-                .iter()
-                .map(|layers| BlockState {
-                    wq: layers.wq.membrane_potentials().to_vec(),
-                    wk: layers.wk.membrane_potentials().to_vec(),
-                    wv: layers.wv.membrane_potentials().to_vec(),
-                    o_temp: layers.o_temp.membrane_potentials().to_vec(),
-                    wo: layers.wo.membrane_potentials().to_vec(),
-                    fc1: layers.fc1.membrane_potentials().to_vec(),
-                    fc2: layers.fc2.membrane_potentials().to_vec(),
-                })
-                .collect(),
+            blocks: blocks.collect(),
             pooled_counts: self.pooled_counts.clone(),
             timesteps_done: self.timesteps_done,
         }
@@ -363,22 +312,9 @@ impl<'a> TransformerStepper<'a> {
             self.timesteps_done > 0,
             "readout needs at least one executed timestep"
         );
-        let config = self.model.config();
-        let denom = (self.timesteps_done * config.tokens) as f32;
-        let pooled: Vec<f32> = self
-            .pooled_counts
-            .iter()
-            .map(|&c| c as f32 / denom)
-            .collect();
-        let pooled_matrix = DenseMatrix::from_rows(&[pooled]);
-        let logits_matrix = pooled_matrix.matmul(self.model.classifier());
-        let logits: Vec<f32> = logits_matrix.row(0).to_vec();
-        let prediction = logits
-            .iter()
-            .enumerate()
-            .max_by(|a, b| a.1.partial_cmp(b.1).expect("logits are finite"))
-            .map(|(i, _)| i)
-            .unwrap_or(0);
+        let denom = (self.timesteps_done * self.model.config().tokens) as f32;
+        let pooled = self.pooled_counts.iter().map(|&c| c as f32 / denom);
+        let (logits, prediction) = self.model.classify(pooled.collect());
         PooledReadout { logits, prediction }
     }
 }

@@ -7,6 +7,7 @@ use rand::Rng;
 
 use crate::config::ModelConfig;
 use crate::encoder::EncoderBlock;
+use crate::forward::{Forward, Membranes, Scratch};
 use crate::parallel::ComputePool;
 use crate::tokenizer::SpikingTokenizer;
 use crate::workload::{
@@ -114,25 +115,29 @@ impl SpikingTransformer {
             .collect()
     }
 
+    /// The classifier readout of a pooled firing-rate vector: per-class
+    /// logits and the index of the highest one.
+    pub(crate) fn classify(&self, pooled: Vec<f32>) -> (Vec<f32>, usize) {
+        let logits_matrix = DenseMatrix::from_rows(&[pooled]).matmul(&self.classifier);
+        let logits: Vec<f32> = logits_matrix.row(0).to_vec();
+        let prediction = logits
+            .iter()
+            .enumerate()
+            .max_by(|a, b| a.1.partial_cmp(b.1).expect("logits are finite"))
+            .map(|(i, _)| i)
+            .unwrap_or(0);
+        (logits, prediction)
+    }
+
     /// Runs inference on an `N × P` patch matrix and captures the per-layer
-    /// workload.
+    /// workload. One scratch set (integration plane, score matrix, head-word
+    /// lists) is reused across every timestep, head, layer and block of the
+    /// call.
     ///
     /// # Panics
     ///
     /// Panics if the patch matrix has the wrong number of tokens or features.
     pub fn infer(&self, patches: &DenseMatrix) -> InferenceResult {
-        self.infer_with(patches, &ComputePool::sequential())
-    }
-
-    /// Pool-parallel [`SpikingTransformer::infer`]: the per-layer compute
-    /// (projection timesteps, attention score/select timesteps, MLP
-    /// timesteps) fans out across the pool while the layer-to-layer dataflow
-    /// stays sequential. Bit-for-bit identical to `infer` at any pool width.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the patch matrix has the wrong number of tokens or features.
-    pub fn infer_with(&self, patches: &DenseMatrix, pool: &ComputePool) -> InferenceResult {
         assert_eq!(
             patches.rows(),
             self.config.tokens,
@@ -141,6 +146,11 @@ impl SpikingTransformer {
             patches.rows()
         );
         let mut workload = ModelWorkload::new(self.config.clone());
+        let mut scratch = Scratch::default();
+        let mut ctx = Forward {
+            scratch: &mut scratch,
+            membranes: Membranes::Fresh,
+        };
         let mut x = self.tokenizer.tokenize(patches);
 
         for (block_index, block) in self.blocks.iter().enumerate() {
@@ -154,7 +164,7 @@ impl SpikingTransformer {
                 weight_bits: self.config.weight_bits,
             }));
 
-            let out = block.forward_with(&x, pool);
+            let out = block.forward_in(&x, &mut ctx);
 
             workload.push(LayerWorkload::Attention(AttentionWorkload {
                 block: block_index,
@@ -196,23 +206,25 @@ impl SpikingTransformer {
             x = out.output;
         }
 
-        let pooled = Self::pool(&x);
-        let pooled_matrix = DenseMatrix::from_rows(&[pooled]);
-        let logits_matrix = pooled_matrix.matmul(&self.classifier);
-        let logits: Vec<f32> = logits_matrix.row(0).to_vec();
-        let prediction = logits
-            .iter()
-            .enumerate()
-            .max_by(|a, b| a.1.partial_cmp(b.1).expect("logits are finite"))
-            .map(|(i, _)| i)
-            .unwrap_or(0);
-
+        let (logits, prediction) = self.classify(Self::pool(&x));
         InferenceResult {
             logits,
             prediction,
             workload,
             final_spikes: x,
         }
+    }
+
+    /// [`SpikingTransformer::infer`] for callers that hold a
+    /// [`ComputePool`]. The forward pass runs on the calling thread at every
+    /// pool width (see [`crate::parallel`]), so the result is the same value
+    /// computed the same way.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the patch matrix has the wrong number of tokens or features.
+    pub fn infer_with(&self, patches: &DenseMatrix, _pool: &ComputePool) -> InferenceResult {
+        self.infer(patches)
     }
 }
 

@@ -166,12 +166,12 @@ pub struct OnlineConfig {
     /// Execution backends. `None` builds the full default registry
     /// (`simulator`, `native`, `ptb`, `gpu`) over the server's caches.
     pub registry: Option<Arc<EngineRegistry>>,
-    /// Width of the native engine's intra-batch compute pool (`0` =
-    /// auto-size to the host's available parallelism, `1` = sequential).
-    /// Only applies when the default registry is built (an injected
-    /// registry brings its own engines); pool lanes publish `"compute"`
-    /// stage slots to the profiler. Execution stays bit-identical at any
-    /// width.
+    /// Width of the native engine's compute-pool handle (`0` = auto-size
+    /// to the host's available parallelism). Only applies when the default
+    /// registry is built (an injected registry brings its own engines);
+    /// pool lanes publish `"compute"` stage slots to the profiler. The
+    /// width is reported, not acted on: a batch executes on its worker's
+    /// own thread at every width (see `bishop_model::parallel`).
     pub native_compute_workers: usize,
     /// Whether each engine gets its own scheduling domain (queue, batcher
     /// and dedicated workers). `false` rebuilds the pre-domain topology —
@@ -282,8 +282,8 @@ impl OnlineConfig {
         self
     }
 
-    /// Overrides the native engine's intra-batch compute-pool width (`0` =
-    /// auto, `1` = sequential). Only effective with the default registry.
+    /// Overrides the native engine's compute-pool width (`0` = auto). Only
+    /// effective with the default registry.
     pub fn with_native_compute_workers(mut self, workers: usize) -> Self {
         self.native_compute_workers = workers;
         self
@@ -1003,7 +1003,7 @@ fn native_engine_with_probes(compute_workers: usize, obs: &ObsHub) -> NativeEngi
         .collect();
     let engine = NativeEngine::with_config_and_pool(engine_config, pool.with_probes(probes));
     // One structured boot line: which popcount path the host resolved to
-    // and how wide the intra-batch fan-out is.
+    // and how wide the compute-pool handle is.
     obs.events.emit(
         EventLevel::Info,
         "native_compute_resolved",

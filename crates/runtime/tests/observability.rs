@@ -339,8 +339,7 @@ fn compute_pool_lanes_register_profiler_slots_and_log_resolution() {
     assert_eq!(row.stage, "idle");
     assert_eq!(row.samples, 3);
 
-    // And the width-3 pool actually serves: a native request fans its
-    // timesteps across the lanes and still completes.
+    // And an engine holding the width-3 pool serves a native request.
     let entry = default_mixed_models().into_iter().next().expect("catalog");
     let ticket = handle
         .try_submit(InferenceRequest::new(0, entry, 0).with_engine(EngineName::native()))

@@ -2,6 +2,8 @@
 
 use rand::Rng;
 
+use crate::words::simd;
+
 /// A row-major dense `rows × cols` matrix of `f32` values.
 ///
 /// Used for the multi-bit weight matrices of the MLP/projection layers
@@ -153,7 +155,19 @@ impl DenseMatrix {
         &self.data
     }
 
+    /// Mutable flat view of the underlying data in row-major order (the
+    /// target of kernels that fill a reused plane in place).
+    pub fn as_mut_slice(&mut self) -> &mut [f32] {
+        &mut self.data
+    }
+
     /// Standard matrix product `self · other`.
+    ///
+    /// Every output element is `Σₖ self[i,k]·other[k,j]` accumulated from
+    /// `0.0` over ascending `k`, zero `self[i,k]` skipped, each product
+    /// rounded before its add — the fixed order of the active SIMD tier's
+    /// `scaled_accumulate` kernel, so the result is the same bits on every
+    /// tier.
     ///
     /// # Panics
     ///
@@ -164,17 +178,10 @@ impl DenseMatrix {
             "matmul dimension mismatch: {}x{} . {}x{}",
             self.rows, self.cols, other.rows, other.cols
         );
+        let kernels = simd::active();
         let mut out = DenseMatrix::zeros(self.rows, other.cols);
         for i in 0..self.rows {
-            for k in 0..self.cols {
-                let a = self.get(i, k);
-                if a == 0.0 {
-                    continue;
-                }
-                for j in 0..other.cols {
-                    out.add_assign(i, j, a * other.get(k, j));
-                }
-            }
+            kernels.scaled_accumulate(out.row_mut(i), &other.data, self.row(i));
         }
         out
     }

@@ -23,6 +23,12 @@
 //! * [`KernelDispatch::lif_step`] — the spike generator: one LIF update
 //!   (integrate → clamp → fire → reset) of a whole neuron layer, with the
 //!   fired lanes packed straight into `u64` spike words.
+//! * [`KernelDispatch::row_accumulate`] — output-stationary sum of selected
+//!   weight rows (one token's synaptic integration in `spike_matmul`): the
+//!   partial sums of a column tile stay in registers across *all* of the
+//!   token's active inputs and are stored once.
+//! * [`KernelDispatch::scaled_accumulate`] — its scaled sibling
+//!   `Σₖ aₖ·W[k, :]`, one output row of the dense `DenseMatrix::matmul`.
 //!
 //! **Bit-identity contract.** Every tier of every kernel must produce
 //! results bit-for-bit identical to the scalar tier on every input. For the
@@ -36,7 +42,11 @@
 //! `u = (v + x) − leak`, `u = u > floor ? u : floor`, `fired = u > threshold`
 //! (strict), `v = fired ? reset : u` — separate add and subtract (never
 //! fused), the compare-select form of `max` (what `vmaxps` computes, NaN
-//! and signed zeros included), no reassociation. The per-tier differential
+//! and signed zeros included), no reassociation. The two accumulate kernels
+//! tile over *columns* only: every output element starts from `+0.0` and
+//! receives its rows in list order (`row_accumulate`) or ascending `k` with
+//! `aₖ == 0.0` skipped (`scaled_accumulate`), the product rounded before
+//! the add — a separate multiply and add, never an FMA. The per-tier differential
 //! proptest suite (`tests/simd_differential.rs`) pins this on every tier
 //! the host supports.
 //!
@@ -55,6 +65,12 @@
 //!    fall back to the scalar loop. `lif_step` vectorises whole 64-lane
 //!    groups only, bounded by all three slice lengths, and hands the
 //!    remainder to the scalar word routine.
+//! 4. The accumulate kernels read `weight` through raw pointers at
+//!    `row · cols + column`. Their table entries are `unsafe fn`s reachable
+//!    only through [`KernelDispatch::row_accumulate`] /
+//!    [`KernelDispatch::scaled_accumulate`], which check every row index
+//!    (respectively the coefficient count) against `weight.len()` before
+//!    the kernel runs.
 #![allow(unsafe_code)]
 
 use std::sync::OnceLock;
@@ -148,6 +164,8 @@ pub struct KernelDispatch {
     masked_add: fn(&mut [f32], &[u64], f32),
     masked_inc: fn(&mut [u32], &[u64]),
     lif_step: fn(&mut [f32], &[f32], &LifParams, &mut [u64]),
+    row_accumulate: unsafe fn(&mut [f32], &[f32], &[usize]),
+    scaled_accumulate: unsafe fn(&mut [f32], &[f32], &[f32]),
 }
 
 impl KernelDispatch {
@@ -239,6 +257,67 @@ impl KernelDispatch {
         assert_eq!(fired.len(), v_mem.len().div_ceil(64), "lif_step word count");
         (self.lif_step)(v_mem, input, params, fired);
     }
+
+    /// Output-stationary row accumulate: with `cols = out.len()` and
+    /// `weight` a row-major `? × cols` matrix, every output element is
+    /// overwritten with
+    ///
+    /// ```text
+    /// out[c] = ((0.0 + W[rows[0], c]) + W[rows[1], c]) + …
+    /// ```
+    ///
+    /// in list order (an index may repeat; an empty list leaves the row all
+    /// `+0.0`). Per element this is exactly the addition sequence of
+    /// zero-filling `out` and calling [`KernelDispatch::add_assign`] once
+    /// per listed row, but a column tile's partial sums stay in registers
+    /// across the whole list and are stored once.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a row index does not address a whole row of `weight`.
+    #[inline]
+    pub fn row_accumulate(&self, out: &mut [f32], weight: &[f32], rows: &[usize]) {
+        if out.is_empty() {
+            return;
+        }
+        let weight_rows = weight.len() / out.len();
+        assert!(
+            rows.iter().all(|&r| r < weight_rows),
+            "row_accumulate index out of range for {weight_rows} weight rows"
+        );
+        // SAFETY: the table holds this tier's entry only after runtime
+        // feature detection, and every `rows[i] · cols + cols` was just
+        // checked to lie inside `weight`.
+        unsafe { (self.row_accumulate)(out, weight, rows) }
+    }
+
+    /// Scaled row accumulate — one output row of a dense matrix product:
+    /// with `cols = out.len()` and `weight` a row-major `coeffs.len() × cols`
+    /// matrix, every output element is overwritten with
+    ///
+    /// ```text
+    /// out[c] = ((0.0 + a₀·W[0, c]) + a₁·W[1, c]) + …
+    /// ```
+    ///
+    /// over ascending `k`, skipping every `aₖ == 0.0` (either sign). Each
+    /// product is rounded before it is added — a separate multiply and add,
+    /// never a fused multiply-add.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `weight.len() != coeffs.len() * out.len()`.
+    #[inline]
+    pub fn scaled_accumulate(&self, out: &mut [f32], weight: &[f32], coeffs: &[f32]) {
+        assert_eq!(
+            weight.len(),
+            coeffs.len() * out.len(),
+            "scaled_accumulate needs one weight row per coefficient"
+        );
+        // SAFETY: the table holds this tier's entry only after runtime
+        // feature detection, and `weight` was just checked to hold
+        // `coeffs.len()` whole rows of `out.len()` columns.
+        unsafe { (self.scaled_accumulate)(out, weight, coeffs) }
+    }
 }
 
 /// Checks the masked-kernel input contract: bits at or beyond `len` clear.
@@ -266,6 +345,8 @@ static SCALAR: KernelDispatch = KernelDispatch {
     masked_add: scalar::masked_add,
     masked_inc: scalar::masked_inc,
     lif_step: scalar::lif_step,
+    row_accumulate: scalar::row_accumulate,
+    scaled_accumulate: scalar::scaled_accumulate,
 };
 
 #[cfg(target_arch = "x86_64")]
@@ -277,6 +358,8 @@ static AVX2: KernelDispatch = KernelDispatch {
     masked_add: avx2::masked_add,
     masked_inc: avx2::masked_inc,
     lif_step: avx2::lif_step,
+    row_accumulate: avx2::row_accumulate,
+    scaled_accumulate: avx2::scaled_accumulate,
 };
 
 #[cfg(target_arch = "x86_64")]
@@ -288,6 +371,8 @@ static AVX512: KernelDispatch = KernelDispatch {
     masked_add: avx512::masked_add,
     masked_inc: avx512::masked_inc,
     lif_step: avx512::lif_step,
+    row_accumulate: avx512::row_accumulate,
+    scaled_accumulate: avx512::scaled_accumulate,
 };
 
 #[cfg(target_arch = "aarch64")]
@@ -299,6 +384,8 @@ static NEON: KernelDispatch = KernelDispatch {
     masked_add: neon::masked_add,
     masked_inc: neon::masked_inc,
     lif_step: neon::lif_step,
+    row_accumulate: neon::row_accumulate,
+    scaled_accumulate: neon::scaled_accumulate,
 };
 
 /// The dispatch table for a specific tier, or `None` if the host cannot
@@ -332,6 +419,117 @@ pub fn active() -> &'static KernelDispatch {
             .and_then(kernels_for)
             .unwrap_or(&SCALAR)
     })
+}
+
+/// Generates a SIMD tier's `row_accumulate` / `scaled_accumulate` table
+/// entries from its vector intrinsics. The tiling is the same on every
+/// tier: tiles of eight vectors of columns, then single vectors, then the
+/// scalar column routine — columns are independent, so the tile width never
+/// changes a result.
+#[cfg(any(target_arch = "x86_64", target_arch = "aarch64"))]
+macro_rules! accumulate_kernels {
+    ($feature:literal, $lanes:literal, $splat:ident, $load:ident, $store:ident, $add:ident, $mul:ident) => {
+        /// Sums the listed rows over `V` vectors of columns into registers
+        /// and stores them once.
+        ///
+        /// # Safety
+        ///
+        /// `out` must be valid for `V · lanes` writes, and for every listed
+        /// `r`, `weight + r · cols` for `V · lanes` reads.
+        #[target_feature(enable = $feature)]
+        unsafe fn row_tile<const V: usize>(
+            out: *mut f32,
+            weight: *const f32,
+            cols: usize,
+            rows: &[usize],
+        ) {
+            let mut acc = [$splat(0.0); V];
+            for &r in rows {
+                let src = weight.add(r * cols);
+                for (v, slot) in acc.iter_mut().enumerate() {
+                    *slot = $add(*slot, $load(src.add(v * $lanes)));
+                }
+            }
+            for (v, slot) in acc.iter().enumerate() {
+                $store(out.add(v * $lanes), *slot);
+            }
+        }
+
+        /// [`row_tile`] with a coefficient per row: zero coefficients are
+        /// skipped and each product is rounded before the add.
+        ///
+        /// # Safety
+        ///
+        /// As [`row_tile`], with `r` ranging over `0..coeffs.len()`.
+        #[target_feature(enable = $feature)]
+        unsafe fn scaled_tile<const V: usize>(
+            out: *mut f32,
+            weight: *const f32,
+            cols: usize,
+            coeffs: &[f32],
+        ) {
+            let mut acc = [$splat(0.0); V];
+            for (k, &a) in coeffs.iter().enumerate() {
+                if a == 0.0 {
+                    continue;
+                }
+                let a = $splat(a);
+                let src = weight.add(k * cols);
+                for (v, slot) in acc.iter_mut().enumerate() {
+                    // Multiply, then add: an FMA would skip the product's
+                    // rounding and change the bits.
+                    *slot = $add(*slot, $mul(a, $load(src.add(v * $lanes))));
+                }
+            }
+            for (v, slot) in acc.iter().enumerate() {
+                $store(out.add(v * $lanes), *slot);
+            }
+        }
+
+        /// # Safety
+        ///
+        /// The tier's CPU features must be present and every `rows[i]` must
+        /// address a whole `out.len()`-column row of `weight`
+        /// ([`KernelDispatch::row_accumulate`](super::KernelDispatch::row_accumulate)
+        /// checks both).
+        #[target_feature(enable = $feature)]
+        pub(super) unsafe fn row_accumulate(out: &mut [f32], weight: &[f32], rows: &[usize]) {
+            let cols = out.len();
+            let (dst, src) = (out.as_mut_ptr(), weight.as_ptr());
+            let mut c = 0;
+            while c + 8 * $lanes <= cols {
+                row_tile::<8>(dst.add(c), src.add(c), cols, rows);
+                c += 8 * $lanes;
+            }
+            while c + $lanes <= cols {
+                row_tile::<1>(dst.add(c), src.add(c), cols, rows);
+                c += $lanes;
+            }
+            scalar::row_accumulate_tail(out, weight, rows, c);
+        }
+
+        /// # Safety
+        ///
+        /// The tier's CPU features must be present and `weight` must hold
+        /// `coeffs.len()` rows of `out.len()` columns
+        /// ([`KernelDispatch::scaled_accumulate`](super::KernelDispatch::scaled_accumulate)
+        /// checks both).
+        #[target_feature(enable = $feature)]
+        pub(super) unsafe fn scaled_accumulate(out: &mut [f32], weight: &[f32], coeffs: &[f32]) {
+            let cols = out.len();
+            let (dst, src) = (out.as_mut_ptr(), weight.as_ptr());
+            let mut c = 0;
+            while c + 8 * $lanes <= cols {
+                scaled_tile::<8>(dst.add(c), src.add(c), cols, coeffs);
+                c += 8 * $lanes;
+            }
+            while c + $lanes <= cols {
+                scaled_tile::<1>(dst.add(c), src.add(c), cols, coeffs);
+                c += $lanes;
+            }
+            scalar::scaled_accumulate_tail(out, weight, coeffs, c);
+        }
+    };
 }
 
 /// Portable scalar tier — the universal fallback and the bit-identity
@@ -399,6 +597,57 @@ mod scalar {
             *out = lif_word(v, x, p);
         }
     }
+
+    pub(super) fn row_accumulate(out: &mut [f32], weight: &[f32], rows: &[usize]) {
+        let cols = out.len();
+        out.fill(0.0);
+        for &r in rows {
+            add_assign(out, &weight[r * cols..][..cols]);
+        }
+    }
+
+    pub(super) fn scaled_accumulate(out: &mut [f32], weight: &[f32], coeffs: &[f32]) {
+        let cols = out.len();
+        out.fill(0.0);
+        for (k, &a) in coeffs.iter().enumerate() {
+            if a == 0.0 {
+                continue;
+            }
+            for (o, &w) in out.iter_mut().zip(&weight[k * cols..][..cols]) {
+                *o += a * w;
+            }
+        }
+    }
+
+    /// Columns `from..` of [`row_accumulate`], one column at a time — the
+    /// remainder routine of the wider tiers (same per-element sequence).
+    #[cfg(any(target_arch = "x86_64", target_arch = "aarch64"))]
+    pub(super) fn row_accumulate_tail(
+        out: &mut [f32],
+        weight: &[f32],
+        rows: &[usize],
+        from: usize,
+    ) {
+        let cols = out.len();
+        for (c, o) in out.iter_mut().enumerate().skip(from) {
+            *o = rows.iter().fold(0.0, |acc, &r| acc + weight[r * cols + c]);
+        }
+    }
+
+    /// Columns `from..` of [`scaled_accumulate`]; see [`row_accumulate_tail`].
+    #[cfg(any(target_arch = "x86_64", target_arch = "aarch64"))]
+    pub(super) fn scaled_accumulate_tail(
+        out: &mut [f32],
+        weight: &[f32],
+        coeffs: &[f32],
+        from: usize,
+    ) {
+        let cols = out.len();
+        for (c, o) in out.iter_mut().enumerate().skip(from) {
+            let live = coeffs.iter().enumerate().filter(|(_, &a)| a != 0.0);
+            *o = live.fold(0.0, |acc, (k, &a)| acc + a * weight[k * cols + c]);
+        }
+    }
 }
 
 /// AVX2 tier: 256-bit rows, four `u64` per vector. Popcount uses the
@@ -439,6 +688,16 @@ mod avx2 {
         // SAFETY: as above — AVX2 presence verified at table selection.
         unsafe { lif_step_impl(v_mem, input, p, fired) }
     }
+
+    accumulate_kernels!(
+        "avx2",
+        8,
+        _mm256_set1_ps,
+        _mm256_loadu_ps,
+        _mm256_storeu_ps,
+        _mm256_add_ps,
+        _mm256_mul_ps
+    );
 
     /// Sums the four `u64` lanes of an accumulator vector.
     #[target_feature(enable = "avx2")]
@@ -635,6 +894,16 @@ mod avx512 {
         unsafe { lif_step_impl(v_mem, input, p, fired) }
     }
 
+    accumulate_kernels!(
+        "avx512f",
+        16,
+        _mm512_set1_ps,
+        _mm512_loadu_ps,
+        _mm512_storeu_ps,
+        _mm512_add_ps,
+        _mm512_mul_ps
+    );
+
     #[target_feature(enable = "avx512f,avx512vpopcntdq")]
     unsafe fn popcount_impl(words: &[u64]) -> u64 {
         let mut acc = _mm512_setzero_si512();
@@ -800,6 +1069,16 @@ mod neon {
         // SAFETY: as above — NEON presence verified at table selection.
         unsafe { lif_step_impl(v_mem, input, p, fired) }
     }
+
+    accumulate_kernels!(
+        "neon",
+        4,
+        vdupq_n_f32,
+        vld1q_f32,
+        vst1q_f32,
+        vaddq_f32,
+        vmulq_f32
+    );
 
     #[target_feature(enable = "neon")]
     unsafe fn popcount_impl(words: &[u64]) -> u64 {

@@ -133,6 +133,62 @@ fn random_lif_f32s(len: usize, seed: u64) -> Vec<f32> {
         .collect()
 }
 
+/// Output widths for the accumulate kernels: below one vector, one AVX-512
+/// vector ± 1, one eight-vector AVX-512 tile ± 1 (sixteen NEON tiles), the
+/// serving model's `fc1` width, and that plus half a vector.
+const ACCUMULATE_COLS: [usize; 9] = [1, 15, 16, 17, 127, 128, 129, 512, 520];
+
+/// Weight/coefficient payloads for the accumulate kernels: ordinary values
+/// salted with signed zeros, denormals, infinities (so `inf − inf` arises)
+/// and NaN.
+fn random_accumulate_f32s(len: usize, seed: u64) -> Vec<f32> {
+    let mut rng = StdRng::seed_from_u64(seed);
+    (0..len)
+        .map(|_| match rng.gen_range(0..24) {
+            0 => -0.0,
+            1 => 0.0,
+            2 => f32::MIN_POSITIVE / 2.0,
+            3 => -f32::MIN_POSITIVE / 2.0,
+            4 => f32::INFINITY,
+            5 => f32::NEG_INFINITY,
+            6 => f32::NAN,
+            _ => rng.gen_range(-4.0_f32..4.0),
+        })
+        .collect()
+}
+
+/// Bit patterns with every NaN mapped to one pattern: which operand's NaN
+/// payload an addition propagates depends on operand order, which the
+/// compiler may commute, so NaN-ness is compared per lane and every other
+/// value bit for bit.
+fn canonical_bits(values: &[f32]) -> Vec<u32> {
+    values
+        .iter()
+        .map(|v| {
+            if v.is_nan() {
+                f32::NAN.to_bits()
+            } else {
+                v.to_bits()
+            }
+        })
+        .collect()
+}
+
+/// The row lists the accumulate kernels must handle: empty, a single row,
+/// a repeated index, every row in order, and a random multiset.
+fn row_list(kind: usize, weight_rows: usize, seed: u64) -> Vec<usize> {
+    let mut rng = StdRng::seed_from_u64(seed);
+    match kind {
+        0 => Vec::new(),
+        1 => vec![rng.gen_range(0..weight_rows)],
+        2 => vec![rng.gen_range(0..weight_rows); 3],
+        3 => (0..weight_rows).collect(),
+        _ => (0..rng.gen_range(1..2 * weight_rows))
+            .map(|_| rng.gen_range(0..weight_rows))
+            .collect(),
+    }
+}
+
 #[test]
 fn host_tier_coverage_is_logged() {
     let available = SimdTier::available();
@@ -317,6 +373,52 @@ proptest! {
     }
 
     #[test]
+    fn row_accumulate_is_bitwise_identical_on_every_tier(
+        cols_index in 0usize..ACCUMULATE_COLS.len(),
+        weight_rows in 1usize..12,
+        list_kind in 0usize..5,
+        seed in any::<u64>(),
+    ) {
+        let cols = ACCUMULATE_COLS[cols_index];
+        let weight = random_accumulate_f32s(weight_rows * cols, seed);
+        let rows = row_list(list_kind, weight_rows, seed ^ 0x0707);
+        // The kernel overwrites: start every tier from a dirty row.
+        let mut expected = vec![f32::NAN; cols];
+        scalar().row_accumulate(&mut expected, &weight, &rows);
+        for tier in tiers_under_test() {
+            let kernels = simd::kernels_for(tier).expect("tier listed as available");
+            let mut got = vec![f32::NAN; cols];
+            kernels.row_accumulate(&mut got, &weight, &rows);
+            prop_assert!(
+                canonical_bits(&got) == canonical_bits(&expected),
+                "row_accumulate diverged on tier {}", tier.label()
+            );
+        }
+    }
+
+    #[test]
+    fn scaled_accumulate_is_bitwise_identical_on_every_tier(
+        cols_index in 0usize..ACCUMULATE_COLS.len(),
+        weight_rows in 0usize..12,
+        seed in any::<u64>(),
+    ) {
+        let cols = ACCUMULATE_COLS[cols_index];
+        let weight = random_accumulate_f32s(weight_rows * cols, seed);
+        let coeffs = random_accumulate_f32s(weight_rows, seed ^ 0xC0EF);
+        let mut expected = vec![f32::NAN; cols];
+        scalar().scaled_accumulate(&mut expected, &weight, &coeffs);
+        for tier in tiers_under_test() {
+            let kernels = simd::kernels_for(tier).expect("tier listed as available");
+            let mut got = vec![f32::NAN; cols];
+            kernels.scaled_accumulate(&mut got, &weight, &coeffs);
+            prop_assert!(
+                canonical_bits(&got) == canonical_bits(&expected),
+                "scaled_accumulate diverged on tier {}", tier.label()
+            );
+        }
+    }
+
+    #[test]
     fn empty_and_all_zero_rows_are_neutral_on_every_tier(
         len_index in 0usize..WORD_LENGTHS.len(),
     ) {
@@ -332,6 +434,8 @@ proptest! {
             let mut empty_u32: [u32; 0] = [];
             kernels.masked_inc(&mut empty_u32, &[]);
             kernels.lif_step(&mut empty_f32, &[], &LIF_PARAMS[0], &mut []);
+            kernels.row_accumulate(&mut empty_f32, &[], &[]);
+            kernels.scaled_accumulate(&mut empty_f32, &[], &[]);
         }
     }
 }
@@ -365,5 +469,108 @@ fn lif_step_semantics_hold_on_every_tier() {
             assert_eq!(v_mem[3], 0.25);
             assert_eq!(v_mem[len - 1], params.reset);
         }
+    }
+}
+
+/// The accumulate kernels' operation-order contract, on every tier (scalar
+/// included), against sums written out by hand: every element starts from
+/// `+0.0` (so an empty list, or a lone `-0.0`, yields `+0.0`), rows are
+/// added in list order with repeats, zero coefficients are skipped rather
+/// than multiplied (`0·inf` never appears), and the product is rounded
+/// before the add — inputs where a fused multiply-add rounds differently
+/// make a kernel that fuses fail here.
+#[test]
+fn accumulate_semantics_hold_on_every_tier() {
+    // a·w = 1 + 2⁻¹¹ + 2⁻²⁴ rounds (ties-to-even) to 1 + 2⁻¹¹; adding
+    // −(1 + 2⁻¹¹) then gives exactly 0.0, where an FMA keeps the 2⁻²⁴.
+    let a = 1.0 + 2.0_f32.powi(-12);
+    let cancel = -(1.0 + 2.0_f32.powi(-11));
+    assert_ne!(
+        a.mul_add(a, cancel),
+        a * a + cancel,
+        "inputs must be FMA-sensitive"
+    );
+    for tier in SimdTier::available() {
+        let kernels = simd::kernels_for(tier).expect("tier listed as available");
+        for cols in ACCUMULATE_COLS {
+            let label = format!("tier {} cols {cols}", tier.label());
+            // Rows: 0 = ones, 1 = -0.0, 2 = 0.1 (inexact sums), 3 = 1e30, 4 = inf.
+            let values = [1.0, -0.0, 0.1, 1e30, f32::INFINITY];
+            let weight: Vec<f32> = values.iter().flat_map(|&v| vec![v; cols]).collect();
+            let row = |rows: &[usize]| {
+                let mut out = vec![f32::NAN; cols];
+                kernels.row_accumulate(&mut out, &weight, rows);
+                out
+            };
+            assert_eq!(bits_of(&row(&[])), bits_of(&vec![0.0; cols]), "{label}");
+            assert_eq!(bits_of(&row(&[1])), bits_of(&vec![0.0; cols]), "{label}");
+            assert_eq!(
+                bits_of(&row(&[2, 2, 2])),
+                bits_of(&vec![0.1 + 0.1 + 0.1; cols]),
+                "{label}"
+            );
+            // List order matters: (1e30 + 1) − … ≠ (1 + 1e30) only in
+            // rounding, but (0.1 + 1e30) + 0.1 ≠ (0.1 + 0.1) + 1e30.
+            let ordered = vec![(0.0 + 0.1 + 1e30) + 0.1_f32; cols];
+            assert_eq!(bits_of(&row(&[2, 3, 2])), bits_of(&ordered), "{label}");
+            assert_eq!(
+                bits_of(&row(&[0, 1, 2, 3, 4])),
+                bits_of(&vec![f32::INFINITY; cols]),
+                "{label}"
+            );
+
+            let scaled = |coeffs: &[f32; 5]| {
+                let mut out = vec![f32::NAN; cols];
+                kernels.scaled_accumulate(&mut out, &weight, coeffs);
+                out
+            };
+            // Zero coefficients of either sign skip their row — the inf row
+            // included.
+            let skipped = scaled(&[0.0, 2.0, -0.0, 0.0, -0.0]);
+            assert_eq!(bits_of(&skipped), bits_of(&vec![0.0; cols]), "{label}");
+            let weighted = scaled(&[0.5, 0.0, 3.0, 0.0, 0.0]);
+            assert_eq!(
+                bits_of(&weighted),
+                bits_of(&vec![0.0 + 0.5 * 1.0 + 3.0 * 0.1; cols]),
+                "{label}"
+            );
+
+            // The inexact product must meet a non-zero partial sum.
+            let fma_weight: Vec<f32> = [1.0, a].iter().flat_map(|&v| vec![v; cols]).collect();
+            let mut out = vec![f32::NAN; cols];
+            kernels.scaled_accumulate(&mut out, &fma_weight, &[cancel, a]);
+            assert_eq!(
+                bits_of(&out),
+                bits_of(&vec![0.0; cols]),
+                "{label}: product must round before the add"
+            );
+        }
+    }
+}
+
+/// Row indices are checked against the weight matrix before any kernel
+/// runs, on every tier.
+#[test]
+fn row_accumulate_rejects_out_of_range_rows_on_every_tier() {
+    for tier in SimdTier::available() {
+        let kernels = simd::kernels_for(tier).expect("tier listed as available");
+        let weight = vec![1.0_f32; 3 * 16];
+        for rows in [vec![3], vec![0, usize::MAX]] {
+            let attempt = std::panic::catch_unwind(|| {
+                let mut out = vec![0.0_f32; 16];
+                kernels.row_accumulate(&mut out, &weight, &rows);
+            });
+            assert!(
+                attempt.is_err(),
+                "tier {} accepted rows {rows:?}",
+                tier.label()
+            );
+        }
+        // A ragged weight slice has no partial last row to address.
+        let attempt = std::panic::catch_unwind(|| {
+            let mut out = vec![0.0_f32; 16];
+            kernels.row_accumulate(&mut out, &weight[..40], &[2]);
+        });
+        assert!(attempt.is_err(), "tier {} read a partial row", tier.label());
     }
 }
