@@ -1,23 +1,23 @@
-//! Scheduling-domain A/B: mixed simulator+native traffic with and without
-//! per-engine domain isolation.
+//! Scheduling-domain isolation: cheap simulator probes, solo and beside a
+//! native flood.
 //!
 //! The scenario reproduces the serving stack's heterogeneity problem at the
 //! runtime level: a flood of slow `native` batches (real word-parallel CPU
 //! forward passes) is queued, and cheap `simulator` probes are submitted
-//! open-loop (fixed spacing) *while the flood drains*. Without isolation
-//! (the pre-domain topology: one shared queue and worker pool), each probe
-//! waits out the remaining native backlog on its worker's FIFO —
-//! head-of-line blocking measured in hundreds of milliseconds. With
-//! per-engine domains the probe rides its own queue and workers and pays
-//! only execution (plus, on core-starved machines, OS-level CPU
-//! contention, which no queueing policy can remove).
+//! open-loop (fixed spacing) *while the flood drains*. Each engine has its
+//! own scheduling domain, so a probe rides its own queue and workers and
+//! pays only execution (plus, on core-starved machines, OS-level CPU
+//! contention, which no queueing policy can remove) — on one shared queue
+//! and pool it waited out the remaining native backlog, a mixed p95 10.1×
+//! worse on the host that last measured both.
 //!
 //! Results are printed and written to `BENCH_scheduler.json` at the
-//! workspace root. Acceptance: isolated mixed p95 stays within 2× of the
-//! solo p95 whenever the machine has enough cores for the domains to
-//! actually run in parallel (> 2); on smaller machines the bar is the
-//! isolation win itself (isolated mixed p95 at least 2× better than the
-//! shared pool's).
+//! workspace root. Acceptance: mixed p95 stays within 2× of the solo p95
+//! whenever the machine has enough cores for the domains to actually run
+//! in parallel (> 2). On smaller machines CPU contention is physically
+//! unavoidable and the bench only records; the queueing property itself is
+//! pinned on every host by `scheduling.rs`'s
+//! `native_flood_does_not_head_of_line_block_simulator`.
 
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -38,11 +38,10 @@ const SIM_SPACING: Duration = Duration::from_millis(5);
 /// Native flood size (submitted up front, drains in the background).
 const NATIVE_FLOOD: usize = 96;
 
-fn config(isolate: bool) -> OnlineConfig {
+fn config() -> OnlineConfig {
     OnlineConfig::new(RuntimeConfig::new(2, BatchPolicy::new(8)).with_queue_capacity(1024))
         .with_batch_timeout(Some(Duration::from_millis(1)))
         .with_max_pending(8192)
-        .with_domain_isolation(isolate)
 }
 
 fn baseline_entry() -> Arc<bishop_engine::CatalogEntry> {
@@ -94,11 +93,11 @@ fn probe_loadgen(server: &OnlineServer, base_id: u64) -> Vec<f64> {
     latencies
 }
 
-/// One A/B arm: solo probe p50/p95, then the same probes under a co-located
-/// native flood. Returns (solo_p50, solo_p95, mixed_p50, mixed_p95,
+/// Solo probe p50/p95, then the same probes under a co-located native
+/// flood. Returns (solo_p50, solo_p95, mixed_p50, mixed_p95,
 /// native_flood_seconds).
-fn run_arm(isolate: bool) -> (f64, f64, f64, f64, f64) {
-    let server = OnlineServer::start(config(isolate));
+fn measure() -> (f64, f64, f64, f64, f64) {
+    let server = OnlineServer::start(config());
     let entry = baseline_entry();
 
     // Warm both engines (simulator result cache, native weight cache) so
@@ -145,7 +144,7 @@ fn bench_scheduler(c: &mut Criterion) {
     // Microbench: one deadline'd auto-dispatch round trip on a warm stack
     // (admission + autoselection + batching + execution on the engine the
     // dispatcher picks — native, since the deadline is loose).
-    let server = OnlineServer::start(config(true));
+    let server = OnlineServer::start(config());
     let handle = server.handle();
     let entry = baseline_entry();
     let mut group = c.benchmark_group("scheduler");
@@ -167,54 +166,33 @@ fn bench_scheduler(c: &mut Criterion) {
     group.finish();
     server.shutdown();
 
-    // The A/B: per-engine domains vs the shared pre-domain pool.
-    let (iso_solo_p50, iso_solo_p95, iso_mixed_p50, iso_mixed_p95, iso_native_s) = run_arm(true);
-    let (_, shared_solo_p95, shared_mixed_p50, shared_mixed_p95, shared_native_s) = run_arm(false);
+    let (solo_p50, solo_p95, mixed_p50, mixed_p95, native_s) = measure();
 
     let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
-    let blowup_isolated = iso_mixed_p95 / iso_solo_p95.max(1e-9);
-    let blowup_shared = shared_mixed_p95 / shared_solo_p95.max(1e-9);
-    let isolation_win = shared_mixed_p95 / iso_mixed_p95.max(1e-9);
+    let blowup = mixed_p95 / solo_p95.max(1e-9);
     println!(
-        "scheduler A/B ({cores} cores; simulator probe latency while a native \
+        "scheduler isolation ({cores} cores; simulator probe latency while a native \
          flood of {NATIVE_FLOOD} drains):"
     );
     println!(
-        "  isolated domains : solo p50 {:.3} ms p95 {:.3} ms | mixed p50 {:.3} ms p95 {:.3} ms \
-         ({blowup_isolated:.1}x solo p95; flood drained in {iso_native_s:.2} s)",
-        iso_solo_p50 * 1e3,
-        iso_solo_p95 * 1e3,
-        iso_mixed_p50 * 1e3,
-        iso_mixed_p95 * 1e3,
+        "  solo p50 {:.3} ms p95 {:.3} ms | mixed p50 {:.3} ms p95 {:.3} ms \
+         ({blowup:.1}x solo p95; flood drained in {native_s:.2} s)",
+        solo_p50 * 1e3,
+        solo_p95 * 1e3,
+        mixed_p50 * 1e3,
+        mixed_p95 * 1e3,
     );
-    println!(
-        "  shared pool      : mixed p50 {:.3} ms p95 {:.3} ms \
-         ({blowup_shared:.1}x solo p95; flood drained in {shared_native_s:.2} s)",
-        shared_mixed_p50 * 1e3,
-        shared_mixed_p95 * 1e3,
-    );
-    println!("  isolation win    : shared mixed p95 / isolated mixed p95 = {isolation_win:.1}x");
 
     // Acceptance. With cores to run domains in parallel, co-located native
     // load may cost the simulator at most 2x its solo p95. On one or two
     // cores, queue isolation still works but CPU contention is physically
-    // unavoidable — there the bar is beating the shared pool's
-    // head-of-line blocking by at least 2x.
+    // unavoidable, so the numbers are recorded without a bar.
     if cores > 2 {
         assert!(
-            iso_mixed_p95 <= 2.0 * iso_solo_p95,
-            "isolated mixed p95 {:.3} ms exceeds 2x solo p95 {:.3} ms",
-            iso_mixed_p95 * 1e3,
-            iso_solo_p95 * 1e3,
-        );
-    } else {
-        assert!(
-            isolation_win >= 2.0,
-            "isolated domains must beat the shared pool's mixed p95 by >= 2x, got {:.2}x \
-             (isolated {:.3} ms vs shared {:.3} ms)",
-            isolation_win,
-            iso_mixed_p95 * 1e3,
-            shared_mixed_p95 * 1e3,
+            mixed_p95 <= 2.0 * solo_p95,
+            "mixed p95 {:.3} ms exceeds 2x solo p95 {:.3} ms",
+            mixed_p95 * 1e3,
+            solo_p95 * 1e3,
         );
     }
 
@@ -222,18 +200,12 @@ fn bench_scheduler(c: &mut Criterion) {
         "{{\n  \"cores\": {cores},\n  \"native_flood_requests\": {NATIVE_FLOOD},\n  \
          \"sim_probes\": {SIM_PROBES},\n  \
          \"isolated\": {{\"solo_p50_ms\": {:.4}, \"solo_p95_ms\": {:.4}, \
-         \"mixed_p50_ms\": {:.4}, \"mixed_p95_ms\": {:.4}, \"blowup_vs_solo\": {:.2}}},\n  \
-         \"shared\": {{\"mixed_p50_ms\": {:.4}, \"mixed_p95_ms\": {:.4}, \
-         \"blowup_vs_solo\": {:.2}}},\n  \"isolation_win_p95\": {:.2}\n}}\n",
-        iso_solo_p50 * 1e3,
-        iso_solo_p95 * 1e3,
-        iso_mixed_p50 * 1e3,
-        iso_mixed_p95 * 1e3,
-        blowup_isolated,
-        shared_mixed_p50 * 1e3,
-        shared_mixed_p95 * 1e3,
-        blowup_shared,
-        isolation_win,
+         \"mixed_p50_ms\": {:.4}, \"mixed_p95_ms\": {:.4}, \"blowup_vs_solo\": {:.2}}}\n}}\n",
+        solo_p50 * 1e3,
+        solo_p95 * 1e3,
+        mixed_p50 * 1e3,
+        mixed_p95 * 1e3,
+        blowup,
     );
     let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_scheduler.json");
     match std::fs::write(path, &json) {

@@ -12,7 +12,7 @@ use std::hash::{Hash, Hasher};
 use std::sync::Arc;
 use std::time::Instant;
 
-use bishop_model::{ComputePool, ModelConfig, SpikingTransformer, TransformerStepper};
+use bishop_model::{ModelConfig, SpikingTransformer, TransformerStepper};
 use bishop_session::SessionState;
 use bishop_spiketensor::words::simd;
 use bishop_spiketensor::DenseMatrix;
@@ -82,7 +82,6 @@ impl Default for NativeEngineConfig {
 pub struct NativeEngine {
     config: NativeEngineConfig,
     models: OnceMap<ModelConfig, SpikingTransformer>,
-    pool: ComputePool,
 }
 
 impl NativeEngine {
@@ -91,32 +90,18 @@ impl NativeEngine {
         Self::with_config(NativeEngineConfig::default())
     }
 
-    /// An engine with explicit host parameters. The intra-batch compute
-    /// pool is sized from [`NativeEngineConfig::compute_workers`].
+    /// An engine with explicit host parameters.
     pub fn with_config(config: NativeEngineConfig) -> Self {
-        let pool = ComputePool::new(config.compute_workers);
-        Self::with_config_and_pool(config, pool)
-    }
-
-    /// An engine with an explicitly constructed compute pool (the runtime
-    /// uses this to attach profiler probes to the pool lanes).
-    pub fn with_config_and_pool(config: NativeEngineConfig, pool: ComputePool) -> Self {
         let capacity = config.model_cache_capacity;
         Self {
             config,
             models: OnceMap::with_capacity(capacity),
-            pool,
         }
     }
 
     /// The host parameters in use.
     pub fn config(&self) -> &NativeEngineConfig {
         &self.config
-    }
-
-    /// The intra-batch compute pool.
-    pub fn compute_pool(&self) -> &ComputePool {
-        &self.pool
     }
 
     /// The transformer serving `config`, built (with weights seeded from the
@@ -175,7 +160,7 @@ impl InferenceEngine for NativeEngine {
             DenseMatrix::random_uniform(batch.config.tokens, batch.config.features, 1.0, &mut rng);
 
         let start = Instant::now();
-        let result = model.infer_with(&patches, &self.pool);
+        let result = model.infer(&patches);
         let wall = start.elapsed().as_secs_f64();
 
         Ok(EngineOutput {
@@ -210,7 +195,6 @@ impl InferenceEngine for NativeEngine {
         let mut stepper = match resume {
             Some(SessionState::Native(state)) => {
                 TransformerStepper::resume(&model, &patches, state.clone())
-                    .with_pool(self.pool.clone())
             }
             // A state exported by a different substrate cannot seed native
             // membranes; treat the coupling as broken rather than guess.
@@ -219,7 +203,7 @@ impl InferenceEngine for NativeEngine {
                     engine: NATIVE_ENGINE,
                 })
             }
-            None => TransformerStepper::new(&model, &patches).with_pool(self.pool.clone()),
+            None => TransformerStepper::new(&model, &patches),
         };
         assert!(
             stepper.timesteps_done() + steps > 0,

@@ -236,12 +236,18 @@ impl<R: Read> RequestReader<R> {
     /// buffer. Returns the reassembled body and the buffer offset one past
     /// the terminating blank trailer line, so pipelined requests keep
     /// working. `max_body_bytes` is enforced on the *accumulated* decoded
-    /// size, before each chunk's data is buffered.
+    /// size, before each chunk's data is buffered; everything that is not
+    /// chunk data — size lines with their extensions, the CRLF closing each
+    /// chunk, trailer fields — draws on one `max_head_bytes` allowance for
+    /// the whole body, so a peer cannot grow the buffer without bound
+    /// through framing the decoded-size cap never sees.
     fn read_chunked_body(&mut self, body_start: usize) -> Result<(Vec<u8>, usize), ParseError> {
         let mut body = Vec::new();
         let mut pos = body_start;
+        let mut framing_left = self.limits.max_head_bytes;
         loop {
-            let line_end = self.find_crlf(pos)?;
+            let line_end = self.find_crlf(pos, framing_left)?;
+            framing_left -= line_end + 2 - pos;
             let line = std::str::from_utf8(&self.buffer[pos..line_end])
                 .map_err(|_| ParseError::BadRequest("non-UTF-8 chunk size line".into()))?;
             // Chunk extensions (anything after `;`) are legal; ignore them.
@@ -256,13 +262,17 @@ impl<R: Read> RequestReader<R> {
                 // Discard trailer fields until the blank line that ends the
                 // chunked message.
                 loop {
-                    let trailer_end = self.find_crlf(pos)?;
+                    let trailer_end = self.find_crlf(pos, framing_left)?;
+                    framing_left -= trailer_end + 2 - pos;
                     if trailer_end == pos {
                         return Ok((body, pos + 2));
                     }
                     pos = trailer_end + 2;
                 }
             }
+            framing_left = framing_left
+                .checked_sub(2)
+                .ok_or_else(|| ParseError::BadRequest("oversized chunk metadata".into()))?;
             while self.buffer.len() < pos + size + 2 {
                 if self.fill()? == 0 {
                     return Err(ParseError::UnexpectedEof);
@@ -279,19 +289,23 @@ impl<R: Read> RequestReader<R> {
     }
 
     /// Fills until a CRLF appears at or after `from`; returns its offset.
-    /// Size and trailer lines are bounded by `max_head_bytes` so a peer
-    /// cannot grow the buffer without bound between chunks.
-    fn find_crlf(&mut self, from: usize) -> Result<usize, ParseError> {
+    /// The line, CRLF included, must fit in `framing_left` — what remains of
+    /// the chunked body's framing allowance — and so must whatever is
+    /// buffered of a line whose CRLF has not arrived yet.
+    fn find_crlf(&mut self, from: usize, framing_left: usize) -> Result<usize, ParseError> {
         loop {
             let window_start = from.min(self.buffer.len());
-            if let Some(offset) = self.buffer[window_start..]
+            let line_end = self.buffer[window_start..]
                 .windows(2)
                 .position(|w| w == b"\r\n")
-            {
-                return Ok(window_start + offset);
-            }
-            if self.buffer.len().saturating_sub(from) > self.limits.max_head_bytes {
+                .map(|offset| window_start + offset);
+            let line_bytes =
+                line_end.map_or(self.buffer.len() - window_start, |end| end + 2 - from);
+            if line_bytes > framing_left {
                 return Err(ParseError::BadRequest("oversized chunk metadata".into()));
+            }
+            if let Some(end) = line_end {
+                return Ok(end);
             }
             if self.fill()? == 0 {
                 return Err(ParseError::UnexpectedEof);
@@ -567,6 +581,16 @@ mod tests {
         let mut reader = RequestReader::new(&raw[..], Limits::default());
         assert_eq!(reader.read_request().unwrap().unwrap().body, b"abc");
         assert_eq!(reader.read_request().unwrap().unwrap().target, "/next");
+        // A body split into many small chunks stays inside the default
+        // framing allowance.
+        let mut split = b"POST /x HTTP/1.1\r\nTransfer-Encoding: chunked\r\n\r\n".to_vec();
+        for i in 0..250 {
+            split.extend_from_slice(format!("2\r\n{:02}\r\n", i % 100).as_bytes());
+        }
+        split.extend_from_slice(b"0\r\n\r\n");
+        let request = read_one(&split).unwrap().unwrap();
+        assert_eq!(request.body.len(), 500);
+        assert_eq!(&request.body[..6], b"000102");
     }
 
     #[test]
@@ -602,6 +626,54 @@ mod tests {
             read_one(b"POST /x HTTP/1.1\r\nTransfer-Encoding: gzip\r\n\r\n"),
             Err(ParseError::Unsupported(_))
         ));
+    }
+
+    #[test]
+    fn chunked_framing_draws_on_one_budget_per_body() {
+        const HEAD: &[u8] = b"POST /x HTTP/1.1\r\nTransfer-Encoding: chunked\r\n\r\n";
+        let limits = Limits {
+            max_head_bytes: 1024,
+            max_body_bytes: 64,
+        };
+        // Whatever the peer sends, one body buffers at most its head, the
+        // framing allowance, the body cap and the read that overran them.
+        let buffered_cap = HEAD.len() + limits.max_head_bytes + limits.max_body_bytes + 4096;
+        let rejects = |raw: &[u8]| {
+            assert!(raw.len() > 2 * buffered_cap, "input must outrun the cap");
+            let mut reader = RequestReader::new(raw, limits);
+            match reader.read_request() {
+                Err(ParseError::BadRequest(reason)) => {
+                    assert_eq!(reason, "oversized chunk metadata")
+                }
+                other => panic!("expected the typed 400, got {other:?}"),
+            }
+            assert!(
+                reader.buffer.len() <= buffered_cap,
+                "buffered {} of {} bytes",
+                reader.buffer.len(),
+                raw.len()
+            );
+        };
+
+        // (a) Every trailer line is short, but together they run to ten
+        // times the allowance before the terminating blank line.
+        let mut trailers = [HEAD, b"0\r\n"].concat();
+        while trailers.len() < 10 * limits.max_head_bytes + buffered_cap {
+            trailers.extend_from_slice(b"a: b\r\n");
+        }
+        trailers.extend_from_slice(b"\r\n");
+        rejects(&trailers);
+
+        // (b) One-byte chunks, each size line padded with an extension just
+        // under the per-line bound: the decoded body stays tiny while the
+        // framing runs to many times the allowance.
+        let chunk = format!("1;{}\r\nx\r\n", "e".repeat(limits.max_head_bytes - 16));
+        let mut padded = HEAD.to_vec();
+        for _ in 0..16 {
+            padded.extend_from_slice(chunk.as_bytes());
+        }
+        padded.extend_from_slice(b"0\r\n\r\n");
+        rejects(&padded);
     }
 
     #[test]

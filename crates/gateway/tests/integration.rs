@@ -7,6 +7,7 @@ use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::time::Duration;
 
+use bishop_engine::EngineName;
 use bishop_gateway::{Gateway, GatewayConfig, Limits};
 use bishop_runtime::{BatchPolicy, OnlineConfig, OnlineServer, RuntimeConfig};
 
@@ -304,7 +305,9 @@ fn auto_with_unmeetable_deadline_sheds_429_with_a_stable_code() {
     // Both auto candidates crawl at 1 op/s: any deadline is unmeetable and
     // the shed is an explicit, machine-readable 429 — never a hang.
     let stack = Stack::boot(
-        OnlineConfig::new(RuntimeConfig::new(1, BatchPolicy::new(2))).with_drain_rate(1.0),
+        OnlineConfig::new(RuntimeConfig::new(1, BatchPolicy::new(2)))
+            .with_engine_drain_seed(EngineName::native(), 1.0)
+            .with_engine_drain_seed(EngineName::simulator(), 1.0),
         GatewayConfig::default(),
     );
     let body = r#"{"model": "cifar10-serve", "engine": "auto", "deadline_ms": 10}"#;
@@ -511,7 +514,7 @@ fn deadline_requests_shed_when_backlog_outlasts_them() {
     let stack = Stack::boot(
         OnlineConfig::new(RuntimeConfig::new(1, BatchPolicy::new(8)))
             .with_batch_timeout(Some(Duration::from_millis(100)))
-            .with_drain_rate(1.0),
+            .with_engine_drain_seed(EngineName::simulator(), 1.0),
         GatewayConfig::default(),
     );
     let addr = stack.addr();

@@ -10,6 +10,7 @@ use std::net::{SocketAddr, TcpStream};
 use std::sync::Arc;
 use std::time::Duration;
 
+use bishop_engine::EngineName;
 use bishop_gateway::{Gateway, GatewayConfig, Json};
 use bishop_obs::{ObsConfig, ObsHub};
 use bishop_runtime::{BatchPolicy, OnlineConfig, OnlineServer, RuntimeConfig};
@@ -365,7 +366,9 @@ fn shed_request_trace_records_the_router_decision() {
     // the shed is a 429 with a drain-priced Retry-After, and the trace keeps
     // the full router decision record for postmortem inspection.
     let stack = Stack::boot(
-        OnlineConfig::new(RuntimeConfig::new(1, BatchPolicy::new(2))).with_drain_rate(1.0),
+        OnlineConfig::new(RuntimeConfig::new(1, BatchPolicy::new(2)))
+            .with_engine_drain_seed(EngineName::native(), 1.0)
+            .with_engine_drain_seed(EngineName::simulator(), 1.0),
         GatewayConfig::default(),
     );
     let addr = stack.addr();

@@ -47,7 +47,7 @@ pub mod workload;
 pub use config::{DatasetKind, ModelConfig};
 pub use encoder::EncoderBlock;
 pub use mlp::SpikingMlp;
-pub use parallel::{ComputePool, WorkerProbe};
+pub use parallel::ComputePool;
 pub use projection::{spike_matmul, spike_matmul_into, spike_matmul_reference, SpikingLinear};
 pub use ssa::{select_accumulate, select_accumulate_reference, SpikingSelfAttention, SsaOutput};
 pub use stepper::{BlockState, ModelState, PooledReadout, StepOutcome, TransformerStepper};

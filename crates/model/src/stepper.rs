@@ -23,7 +23,6 @@ use bishop_spiketensor::DenseMatrix;
 
 use crate::encoder::EncoderBlock;
 use crate::forward::{Forward, Membranes, Scratch};
-use crate::parallel::ComputePool;
 use crate::transformer::SpikingTransformer;
 
 /// Exported LIF membrane state of one encoder block (one vector per spike
@@ -169,14 +168,6 @@ impl<'a> TransformerStepper<'a> {
             timesteps_done: 0,
         };
         Self::resume(model, patches, state)
-    }
-
-    /// Accepts the engine's compute pool. Steps run on the calling thread
-    /// at every pool width (see [`crate::parallel`]), so this changes
-    /// nothing about how the stepper executes.
-    #[must_use]
-    pub fn with_pool(self, _pool: ComputePool) -> Self {
-        self
     }
 
     /// Resumes a parked execution from an exported [`ModelState`].

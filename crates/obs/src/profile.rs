@@ -113,9 +113,8 @@ impl WorkerProfiler {
     }
 
     /// Registers one thread's stage slot, starting Idle. `kind` separates
-    /// thread roles under one engine (`"worker"` / `"batcher"` /
-    /// `"compute"` for intra-batch pool lanes), so an idle batcher can't
-    /// dilute the workers' execute share.
+    /// thread roles under one engine (`"worker"` / `"batcher"`), so an idle
+    /// batcher can't dilute the workers' execute share.
     pub fn register(&self, engine: &str, kind: &'static str) -> Arc<StageSlot> {
         let slot = Arc::new(StageSlot::default());
         self.slots
@@ -213,10 +212,10 @@ impl WorkerProfiler {
 /// One `engine × kind × stage` row of a [`ProfileReport`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct ProfileEntry {
-    /// Engine the thread serves (`"shared"` in a non-isolated domain).
+    /// Engine the thread serves (`"none"` in the engine-less domain an
+    /// empty registry gets).
     pub engine: String,
-    /// Thread role: `"worker"`, `"batcher"`, or `"compute"` (an
-    /// intra-batch compute-pool lane).
+    /// Thread role: `"worker"` or `"batcher"`.
     pub kind: &'static str,
     /// Stage label.
     pub stage: &'static str,

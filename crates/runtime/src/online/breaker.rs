@@ -18,7 +18,7 @@ use std::time::{Duration, Instant};
 #[derive(Debug, Clone)]
 pub struct BreakerConfig {
     /// Master switch; a disabled breaker admits everything and records
-    /// nothing (the offline/deterministic serving path uses this).
+    /// nothing (the hardening-off arm of the faults bench uses this).
     pub enabled: bool,
     /// Sliding window of recent attempt outcomes the error rate is
     /// computed over.

@@ -1,7 +1,7 @@
 //! Per-engine drain-rate calibration and latency observation.
 //!
 //! Deadline admission and `"auto"` dispatch both need to predict how fast a
-//! scheduling domain retires work. A single static `drain_ops_per_second`
+//! scheduling domain retires work. A single static rate
 //! cannot describe heterogeneous substrates (the memoized simulator clears
 //! backlogs orders of magnitude faster than real CPU execution), so every
 //! engine carries its own [`DrainRate`]: an online exponentially-weighted

@@ -13,6 +13,7 @@
 //! the typed [`Rejection::NoEngineMeetsDeadline`](super::Rejection), before
 //! it consumes a queue slot anywhere.
 
+use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -23,17 +24,16 @@ use crate::request::InferenceRequest;
 
 use super::breaker::BreakerAdmit;
 use super::calibration::EngineCells;
-use super::domain::{log_breaker_transition, DomainSubmitter};
+use super::domain::log_breaker_transition;
 use super::Rejection;
 
-/// One resolvable engine: its identity and descriptor, the per-engine
-/// scheduling cells, and the index of the domain serving it.
+/// One resolvable engine: its identity and descriptor and the scheduling
+/// cells of the domain serving it (whose backlog is this engine's alone).
 #[derive(Debug)]
 pub(crate) struct EngineEntry {
     pub(crate) name: EngineName,
     pub(crate) descriptor: EngineDescriptor,
     pub(crate) cells: Arc<EngineCells>,
-    pub(crate) domain: usize,
 }
 
 /// Predicted seconds until a request submitted *now* completes on an
@@ -60,7 +60,6 @@ pub(crate) fn predicted_completion_seconds(
 pub(crate) fn select_engine(
     entries: &[EngineEntry],
     auto_order: &[usize],
-    domains: &[DomainSubmitter],
     request: &InferenceRequest,
     estimated_ops: u64,
     deadline: Option<Duration>,
@@ -118,7 +117,7 @@ pub(crate) fn select_engine(
             None => (None, None),
             Some(deadline) => {
                 let predicted = predicted_completion_seconds(
-                    domains[entry.domain].backlog_ops(),
+                    entry.cells.backlog_ops.load(Ordering::Acquire),
                     estimated_ops,
                     entry.cells.drain.ops_per_second(),
                 );
@@ -178,14 +177,8 @@ mod tests {
     use bishop_engine::{CatalogEntry, EngineSubstrate};
     use bishop_model::{DatasetKind, ModelConfig};
     use bishop_obs::assert_verdict;
-    use std::sync::mpsc;
 
-    fn entry(
-        name: &str,
-        domain: usize,
-        seed_rate: f64,
-        supports_ecp: bool,
-    ) -> (EngineEntry, DomainSubmitter) {
+    fn entry(name: &str, seed_rate: f64, supports_ecp: bool) -> EngineEntry {
         let cells = Arc::new(EngineCells::new(
             EngineName::from(name),
             seed_rate,
@@ -208,20 +201,11 @@ mod tests {
             simd_tier: None,
             description: "test",
         };
-        let (tx, _rx) = mpsc::sync_channel(1);
-        let submitter = DomainSubmitter {
-            tx,
-            engines: vec![Arc::clone(&cells)],
-        };
-        (
-            EngineEntry {
-                name: EngineName::from(name),
-                descriptor,
-                cells,
-                domain,
-            },
-            submitter,
-        )
+        EngineEntry {
+            name: EngineName::from(name),
+            descriptor,
+            cells,
+        }
     }
 
     fn request(options: SimOptions) -> InferenceRequest {
@@ -235,16 +219,13 @@ mod tests {
 
     #[test]
     fn prefers_the_first_engine_that_meets_the_deadline() {
-        let (slow, slow_domain) = entry("native", 0, 1e3, false);
-        let (fast, fast_domain) = entry("simulator", 1, 1e12, true);
-        let entries = [slow, fast];
-        let domains = [slow_domain, fast_domain];
+        let entries = [entry("native", 1e3, false), entry("simulator", 1e12, true)];
         let request = request(SimOptions::baseline());
         let ops = 1_000_000;
 
         let obs = ObsHub::default();
         // No deadline: most-preferred (first) engine wins.
-        let chosen = select_engine(&entries, &[0, 1], &domains, &request, ops, None, &obs)
+        let chosen = select_engine(&entries, &[0, 1], &request, ops, None, &obs)
             .0
             .expect("eligible");
         assert_eq!(chosen, 0);
@@ -253,7 +234,6 @@ mod tests {
         let (outcome, decision) = select_engine(
             &entries,
             &[0, 1],
-            &domains,
             &request,
             ops,
             Some(Duration::from_millis(1)),
@@ -272,7 +252,6 @@ mod tests {
         let (outcome, decision) = select_engine(
             &entries,
             &[0, 1],
-            &domains,
             &request,
             ops,
             Some(Duration::from_secs(2000)),
@@ -286,13 +265,10 @@ mod tests {
 
     #[test]
     fn sheds_when_no_engine_meets_the_deadline() {
-        let (slow, slow_domain) = entry("native", 0, 1.0, false);
-        let entries = [slow];
-        let domains = [slow_domain];
+        let entries = [entry("native", 1.0, false)];
         let (outcome, decision) = select_engine(
             &entries,
             &[0],
-            &domains,
             &request(SimOptions::baseline()),
             1_000_000,
             Some(Duration::from_millis(1)),
@@ -309,15 +285,11 @@ mod tests {
     fn skips_engines_that_cannot_execute_the_profile() {
         // ECP request: the non-ECP preferred engine is ineligible even with
         // no deadline; the ECP-capable one is chosen.
-        let (no_ecp, d0) = entry("native", 0, 1e12, false);
-        let (with_ecp, d1) = entry("simulator", 1, 1e12, true);
-        let entries = [no_ecp, with_ecp];
-        let domains = [d0, d1];
+        let entries = [entry("native", 1e12, false), entry("simulator", 1e12, true)];
         let obs = ObsHub::default();
         let (outcome, decision) = select_engine(
             &entries,
             &[0, 1],
-            &domains,
             &request(SimOptions::with_ecp(6)),
             1000,
             None,
@@ -335,7 +307,6 @@ mod tests {
         let (outcome, _) = select_engine(
             &entries,
             &[0],
-            &domains,
             &request(SimOptions::with_ecp(6)),
             1000,
             None,
@@ -358,18 +329,14 @@ mod tests {
 
     #[test]
     fn routes_around_an_open_breaker_and_sheds_when_all_are_open() {
-        let (native, d0) = entry("native", 0, 1e12, false);
-        let (simulator, d1) = entry("simulator", 1, 1e12, true);
-        trip_breaker(&native);
-        let entries = [native, simulator];
-        let domains = [d0, d1];
+        let entries = [entry("native", 1e12, false), entry("simulator", 1e12, true)];
+        trip_breaker(&entries[0]);
         let obs = ObsHub::default();
         // The preferred engine's breaker is open: auto degrades to the next
         // candidate and the decision record says why.
         let (outcome, decision) = select_engine(
             &entries,
             &[0, 1],
-            &domains,
             &request(SimOptions::baseline()),
             1000,
             None,
@@ -386,7 +353,6 @@ mod tests {
         let (outcome, decision) = select_engine(
             &entries,
             &[0, 1],
-            &domains,
             &request(SimOptions::baseline()),
             1000,
             None,
@@ -398,12 +364,11 @@ mod tests {
 
     #[test]
     fn prediction_accounts_for_queued_backlog() {
-        let (engine, domain) = entry("native", 0, 1e6, false);
+        let engine = entry("native", 1e6, false);
         // Empty domain: 1e3 ops at 1e6 ops/s = 1 ms, meets a 10 ms deadline.
         assert!(select_engine(
-            &[engine],
+            std::slice::from_ref(&engine),
             &[0],
-            std::slice::from_ref(&domain),
             &request(SimOptions::baseline()),
             1_000,
             Some(Duration::from_millis(10)),
@@ -412,15 +377,11 @@ mod tests {
         .0
         .is_ok());
         // 1e6 ops of backlog pushes predicted completion past the deadline.
-        domain.engines[0]
-            .backlog_ops
-            .store(1_000_000, std::sync::atomic::Ordering::Release);
-        let (engine, _) = entry("native", 0, 1e6, false);
+        engine.cells.backlog_ops.store(1_000_000, Ordering::Release);
         assert_eq!(
             select_engine(
                 &[engine],
                 &[0],
-                std::slice::from_ref(&domain),
                 &request(SimOptions::baseline()),
                 1_000,
                 Some(Duration::from_millis(10)),

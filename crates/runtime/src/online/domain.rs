@@ -1,21 +1,17 @@
 //! One scheduling domain: a bounded queue, a batcher and a dedicated
-//! worker pool serving a fixed set of engines.
+//! worker pool serving one engine.
 //!
-//! With domain isolation on (the default) every registered engine gets its
-//! own domain, so substrates can never head-of-line-block each other: a
-//! multi-millisecond `native` batch occupies only the native domain's
-//! workers while `simulator` traffic keeps flowing through its own. The
-//! pre-refactor topology — one shared queue and pool for every engine — is
-//! still constructible as a single domain serving all engines via
-//! [`OnlineConfig::with_domain_isolation`](super::OnlineConfig::with_domain_isolation),
-//! which is what the scheduler bench A/Bs against.
+//! Every registered engine gets its own domain, so substrates can never
+//! head-of-line-block each other: a multi-millisecond `native` batch
+//! occupies only the native domain's workers while `simulator` traffic
+//! keeps flowing through its own.
 
 use std::sync::atomic::Ordering;
-use std::sync::{mpsc, Arc, Mutex};
+use std::sync::{mpsc, Arc};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use bishop_engine::{EngineBatch, EngineError, EngineOutput, EngineRegistry, StepEvent, StepSink};
+use bishop_engine::{EngineBatch, EngineError, EngineRegistry, StepEvent, StepSink};
 use bishop_obs::{EventLevel, EventValue, ObsHub, Stage, StageSlot, WorkerStage};
 
 use crate::batch::{BatchFormer, BatchKey, BatchPolicy, Batchable, RequestBatch};
@@ -73,38 +69,6 @@ pub(crate) enum Submission {
     Shutdown,
 }
 
-/// One executed batch, recorded for post-run report assembly. (Per-request
-/// worker attribution lives on the ticket responses, not here.)
-#[derive(Debug)]
-pub(crate) struct ExecutedBatch {
-    pub(crate) batch: RequestBatch<InferenceRequest>,
-    pub(crate) output: Arc<EngineOutput>,
-}
-
-/// The submission half of a domain, held by every
-/// [`ServerHandle`](super::ServerHandle) clone: the bounded channel into
-/// the domain's batcher plus the per-engine cells of the engines the
-/// domain serves (whose backlogs together form the domain's admission
-/// backlog).
-#[derive(Debug, Clone)]
-pub(crate) struct DomainSubmitter {
-    pub(crate) tx: mpsc::SyncSender<Submission>,
-    pub(crate) engines: Vec<Arc<EngineCells>>,
-}
-
-impl DomainSubmitter {
-    /// Estimated dense ops queued ahead of a new arrival in this domain:
-    /// the sum of its engines' backlogs. With isolation on this is one
-    /// engine's backlog; in the shared layout it is the whole stack's —
-    /// which is exactly why a shared pool head-of-line-blocks.
-    pub(crate) fn backlog_ops(&self) -> u64 {
-        self.engines
-            .iter()
-            .map(|e| e.backlog_ops.load(Ordering::Acquire))
-            .sum()
-    }
-}
-
 /// The thread half of a running domain, joined at shutdown.
 #[derive(Debug)]
 pub(crate) struct DomainThreads {
@@ -125,8 +89,9 @@ impl DomainThreads {
 
 /// Everything needed to boot one domain.
 pub(crate) struct DomainSpec {
-    /// The engines this domain serves (per-engine layout: exactly one).
-    pub(crate) engines: Vec<Arc<EngineCells>>,
+    /// The engine this domain serves (`None` only for the one engine-less
+    /// domain an empty registry gets).
+    pub(crate) engine: Option<Arc<EngineCells>>,
     /// Dedicated worker threads.
     pub(crate) workers: usize,
     /// Capacity of the domain's bounded submission channel.
@@ -146,8 +111,6 @@ pub(crate) struct DomainSpec {
     pub(crate) registry: Arc<EngineRegistry>,
     /// Global server counters.
     pub(crate) cells: Arc<StatsCells>,
-    /// Executed-batch recording sink, when enabled.
-    pub(crate) record: Option<Arc<Mutex<Vec<ExecutedBatch>>>>,
     /// Observability hub: stage stamps for riders' traces, engine-error
     /// events from the workers.
     pub(crate) obs: Arc<ObsHub>,
@@ -155,15 +118,16 @@ pub(crate) struct DomainSpec {
     pub(crate) retry: RetryPolicy,
 }
 
-/// Boots one domain: its bounded channel, batcher thread and worker pool.
-pub(crate) fn spawn_domain(spec: DomainSpec) -> (DomainSubmitter, DomainThreads) {
+/// Boots one domain: its batcher thread and worker pool, returning the
+/// bounded submission channel every [`ServerHandle`](super::ServerHandle)
+/// clone feeds it through.
+pub(crate) fn spawn_domain(spec: DomainSpec) -> (mpsc::SyncSender<Submission>, DomainThreads) {
     let (submit_tx, submit_rx) = mpsc::sync_channel::<Submission>(spec.queue_capacity);
-    // Profiler attribution label: the engine name with per-engine
-    // isolation, `"shared"` for a multi-engine (or engine-less) domain.
-    let profile_label = match spec.engines.as_slice() {
-        [only] => only.name.as_str().to_string(),
-        _ => "shared".to_string(),
-    };
+    // Profiler attribution label: the name of the engine the domain serves.
+    let profile_label = spec
+        .engine
+        .as_ref()
+        .map_or("none", |engine| engine.name.as_str());
     let mut batch_txs = Vec::with_capacity(spec.workers);
     let mut workers = Vec::with_capacity(spec.workers);
     for index in 0..spec.workers {
@@ -174,12 +138,11 @@ pub(crate) fn spawn_domain(spec: DomainSpec) -> (DomainSubmitter, DomainThreads)
             rx,
             Arc::clone(&spec.registry),
             Arc::clone(&spec.cells),
-            spec.engines.clone(),
-            spec.record.clone(),
+            spec.engine.clone(),
             spec.bundle,
             Arc::clone(&spec.obs),
             spec.retry.clone(),
-            spec.obs.profiler.register(&profile_label, "worker"),
+            spec.obs.profiler.register(profile_label, "worker"),
         ));
     }
     let batcher = spawn_batcher(
@@ -191,15 +154,9 @@ pub(crate) fn spawn_domain(spec: DomainSpec) -> (DomainSubmitter, DomainThreads)
         spec.bundle,
         spec.batch_id_base,
         spec.batch_id_stride,
-        spec.obs.profiler.register(&profile_label, "batcher"),
+        spec.obs.profiler.register(profile_label, "batcher"),
     );
-    (
-        DomainSubmitter {
-            tx: submit_tx,
-            engines: spec.engines,
-        },
-        DomainThreads { batcher, workers },
-    )
+    (submit_tx, DomainThreads { batcher, workers })
 }
 
 /// Most riders one batch may hold for `request`'s engine: the largest count
@@ -390,8 +347,8 @@ pub(crate) fn log_breaker_transition(obs: &ObsHub, engine: &str, transition: Bre
     );
 }
 
-/// Spawns one domain worker: executes batches on whichever engine each
-/// batch names — containing engine panics with `catch_unwind` and retrying
+/// Spawns one domain worker: executes batches on the engine each batch
+/// names — containing engine panics with `catch_unwind` and retrying
 /// retryable faults per the domain's [`RetryPolicy`] — resolves riders'
 /// tickets, feeds the engine's circuit breaker with every attempt outcome,
 /// and feeds the drain-rate calibration with the measured wall-clock of
@@ -402,8 +359,7 @@ fn spawn_worker(
     batch_rx: mpsc::Receiver<RequestBatch<PendingRequest>>,
     registry: Arc<EngineRegistry>,
     cells: Arc<StatsCells>,
-    engines: Vec<Arc<EngineCells>>,
-    record: Option<Arc<Mutex<Vec<ExecutedBatch>>>>,
+    domain_engine: Option<Arc<EngineCells>>,
     bundle: bishop_bundle::BundleShape,
     obs: Arc<ObsHub>,
     retry: RetryPolicy,
@@ -422,12 +378,9 @@ fn spawn_worker(
             // batches (the batcher caps them at 1); they execute on the
             // engine's streaming path below instead of `execute`.
             let stateful = batch_size == 1 && batch.requests[0].request.stateful();
-            // Requests naming an unregistered engine ride the default
-            // domain and fail typed below; they have no per-engine cells.
-            let engine_cells = engines
-                .iter()
-                .find(|e| e.name == *batch.engine())
-                .map(Arc::clone);
+            // Requests naming an unregistered engine ride domain 0 and
+            // fail typed below; they are not this engine's to account.
+            let engine_cells = domain_engine.clone().filter(|e| e.name == *batch.engine());
             // Annotate every traced rider with where it executes: the batch
             // span id shared with its batch-mates and the concrete engine.
             // The execute span (worker queue + engine run) is stamped once
@@ -623,20 +576,6 @@ fn spawn_worker(
                         engine.batches_executed.fetch_add(1, Ordering::AcqRel);
                         engine.drain.observe(batch_ops, wall_seconds);
                         engine.latency.record(latency, batch_size);
-                    }
-
-                    if let Some(record) = &record {
-                        record.lock().expect("executed lock").push(ExecutedBatch {
-                            batch: RequestBatch {
-                                id: batch.id,
-                                requests: batch
-                                    .requests
-                                    .iter()
-                                    .map(|p| p.request.clone())
-                                    .collect(),
-                            },
-                            output: Arc::clone(&output),
-                        });
                     }
 
                     for pending in batch.requests {

@@ -1,7 +1,6 @@
 //! Online submission: the always-on serving path.
 //!
-//! Where [`BishopServer::serve`](crate::BishopServer::serve) replays a closed
-//! trace, this module keeps a server *running*: clients call
+//! This module keeps a server *running*: clients call
 //! [`ServerHandle::try_submit`] at any time and get back a [`Ticket`] that
 //! resolves to the request's [`InferenceResponse`] once the batch it rode in
 //! has been executed.
@@ -20,9 +19,7 @@
 //! bounded queue, a batcher with its own [`BatchFormer`] (capped at that
 //! engine's padded fold limit) and a dedicated worker pool — so substrates
 //! can never head-of-line-block each other (a slow `native` batch occupies
-//! only native workers; `simulator` traffic flows on beside it). The
-//! pre-domain topology (one shared queue and pool) remains available via
-//! [`OnlineConfig::with_domain_isolation`] for A/B measurement.
+//! only native workers; `simulator` traffic flows on beside it).
 //!
 //! **Admission control** sheds load with explicit [`Rejection`]s instead of
 //! blocking: a request is rejected when the pending count reaches
@@ -44,7 +41,8 @@
 //! closes as soon as `max_batch_size` compatible requests arrived, or when
 //! its oldest member has waited `batch_timeout`. With `batch_timeout: None`
 //! batches close only on size or an explicit [`ServerHandle::flush`] — the
-//! timing-free mode the deterministic offline `serve` path is built on.
+//! timing-free mode in which batch formation depends on submission order
+//! alone (what the determinism suite replays traces through).
 //! Batch ids are strided across domains (domain *i* of *n* assigns ids
 //! `i, i+n, i+2n, …`), keeping them globally unique and deterministic.
 //!
@@ -63,43 +61,39 @@ mod sampler;
 
 pub use breaker::{BreakerConfig, BreakerSnapshot, BreakerState};
 pub use calibration::EngineLoadStats;
-pub(crate) use domain::ExecutedBatch;
 pub use retry::RetryPolicy;
 pub use sampler::SamplerConfig;
 
 use breaker::BreakerAdmit;
 
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{mpsc, Arc, Mutex, OnceLock};
+use std::sync::{mpsc, Arc, OnceLock};
 use std::time::Duration;
 
+use bishop_core::BishopConfig;
 use bishop_engine::{
     CalibrationCache, EngineError, EngineName, EngineRegistry, InferenceEngine, NativeEngine,
     NativeEngineConfig, ResultCache, StepEvent,
 };
-use bishop_model::{ComputePool, WorkerProbe};
-use bishop_obs::{EventLevel, EventValue, ObsHub, Stage, StageSlot, TraceContext, WorkerStage};
+use bishop_model::ComputePool;
+use bishop_obs::{EventLevel, EventValue, ObsHub, Stage, TraceContext};
 use bishop_session::SessionStore;
 
-use crate::batch::config_ops;
+use crate::batch::{config_ops, BatchPolicy};
 use crate::request::{InferenceRequest, InferenceResponse};
-use crate::server::RuntimeConfig;
 
 use calibration::EngineCells;
 use dispatch::EngineEntry;
-use domain::{
-    spawn_domain, DomainSpec, DomainSubmitter, DomainThreads, PendingRequest, Submission,
-};
+use domain::{spawn_domain, DomainSpec, DomainThreads, PendingRequest, Submission};
 
 // Referenced by the module docs above.
 #[allow(unused_imports)]
 use crate::batch::BatchFormer;
 
 /// The drain rate (dense ops per second) assumed for requests naming an
-/// engine the registry does not hold (they fail typed after dispatch, but
-/// deadline admission still needs *some* rate), when the deprecated global
-/// knob is unset. This was the old single global default.
-pub const DEFAULT_DRAIN_OPS_PER_SECOND: f64 = 5e9;
+/// engine the registry does not hold: they fail typed after dispatch, but
+/// deadline admission still needs *some* rate.
+const UNKNOWN_ENGINE_DRAIN_OPS_PER_SECOND: f64 = 5e9;
 
 /// Why a submitted request failed to produce a response (as opposed to being
 /// shed at admission, which is a [`Rejection`]).
@@ -135,14 +129,55 @@ impl std::error::Error for ServeError {}
 /// What one submitted request ultimately resolved to.
 pub type ServeResult = Result<InferenceResponse, ServeError>;
 
+/// Worker, queue, batching and hardware configuration of one scheduling
+/// domain — what [`OnlineConfig`] wraps with the online-only knobs.
+#[derive(Debug, Clone)]
+pub struct RuntimeConfig {
+    /// Number of worker threads; each models one execution-substrate
+    /// instance.
+    pub workers: usize,
+    /// Capacity of the bounded submission queue (a full queue sheds —
+    /// backpressure instead of unbounded memory growth).
+    pub queue_capacity: usize,
+    /// Batch-former policy.
+    pub batching: BatchPolicy,
+    /// Hardware configuration shared by every simulated chip instance (and
+    /// source of the Token-Time-Bundle shape batches are padded to).
+    pub hardware: BishopConfig,
+}
+
+impl RuntimeConfig {
+    /// A batched multi-worker configuration.
+    pub fn new(workers: usize, batching: BatchPolicy) -> Self {
+        Self {
+            workers: workers.max(1),
+            queue_capacity: 256,
+            batching,
+            hardware: BishopConfig::default(),
+        }
+    }
+
+    /// Overrides the submission-queue capacity.
+    pub fn with_queue_capacity(mut self, capacity: usize) -> Self {
+        self.queue_capacity = capacity.max(1);
+        self
+    }
+}
+
+impl Default for RuntimeConfig {
+    fn default() -> Self {
+        Self::new(4, BatchPolicy::default())
+    }
+}
+
 /// Configuration of an [`OnlineServer`], wrapping the batch/worker
 /// [`RuntimeConfig`] with the online-only knobs.
 #[derive(Debug, Clone)]
 pub struct OnlineConfig {
     /// Worker pool, queue capacity, batching policy and hardware model.
-    /// With domain isolation on, `runtime.workers` and
-    /// `runtime.queue_capacity` apply *per domain* (overridable per engine
-    /// via [`OnlineConfig::with_domain_workers`]).
+    /// `runtime.workers` and `runtime.queue_capacity` apply *per domain*
+    /// (workers overridable per engine via
+    /// [`OnlineConfig::with_domain_workers`]).
     pub runtime: RuntimeConfig,
     /// Close a partially-filled batch once its oldest member has waited
     /// this long. `None` disables the timeout: batches close only on size
@@ -153,42 +188,21 @@ pub struct OnlineConfig {
     /// (across all domains). `0` sheds everything (useful for overload
     /// tests).
     pub max_pending: usize,
-    /// **Deprecated global knob**, kept as a calibration *seed*: per-engine
-    /// drain rates (an online EWMA of observed ops/second) replaced the
-    /// single global rate. `None` (the default) seeds each engine from its
-    /// own descriptor; `Some(rate)` (via [`OnlineConfig::with_drain_rate`])
-    /// seeds every engine with the given value instead — matching the old
-    /// single-rate behaviour until observations flow.
-    pub drain_ops_per_second: Option<f64>,
-    /// Record every executed batch for post-run report assembly. Leave off
-    /// for long-running servers (the record grows without bound).
-    pub record_batches: bool,
     /// Execution backends. `None` builds the full default registry
     /// (`simulator`, `native`, `ptb`, `gpu`) over the server's caches.
     pub registry: Option<Arc<EngineRegistry>>,
     /// Width of the native engine's compute-pool handle (`0` = auto-size
     /// to the host's available parallelism). Only applies when the default
-    /// registry is built (an injected registry brings its own engines);
-    /// pool lanes publish `"compute"` stage slots to the profiler. The
-    /// width is reported, not acted on: a batch executes on its worker's
-    /// own thread at every width (see `bishop_model::parallel`).
+    /// registry is built (an injected registry brings its own engines).
+    /// The width is reported, not acted on: a batch executes on its
+    /// worker's own thread at every width (see `bishop_model::parallel`).
     pub native_compute_workers: usize,
-    /// Whether each engine gets its own scheduling domain (queue, batcher
-    /// and dedicated workers). `false` rebuilds the pre-domain topology —
-    /// one shared queue and worker pool serving every engine — for A/B
-    /// measurement of head-of-line blocking.
-    pub isolate_domains: bool,
     /// Per-engine worker-pool size overrides (engine name → workers);
-    /// engines not listed use `runtime.workers`. Ignored without domain
-    /// isolation.
+    /// engines not listed use `runtime.workers`.
     pub domain_workers: Vec<(EngineName, usize)>,
     /// Per-engine drain-rate seed overrides (engine name → ops/second);
-    /// takes precedence over both the global knob and the descriptor seed.
+    /// takes precedence over the descriptor seed.
     pub engine_drain_seeds: Vec<(EngineName, f64)>,
-    /// Preference order `"auto"` requests resolve against (most-preferred
-    /// first); names not registered are skipped. Defaults to
-    /// [`EngineRegistry::default_auto_preference`].
-    pub auto_preference: Vec<EngineName>,
     /// The observability hub (stage histograms, trace store, router
     /// decision counters, event log) the server feeds. `None` (the
     /// default) builds a hub with [`bishop_obs::ObsConfig`] defaults;
@@ -214,24 +228,16 @@ pub struct OnlineConfig {
 
 impl OnlineConfig {
     /// Online defaults on top of the given runtime configuration: 2 ms
-    /// batch timeout, 1024 pending requests, no batch recording, default
-    /// engine registry, per-engine scheduling domains.
+    /// batch timeout, 1024 pending requests, default engine registry.
     pub fn new(runtime: RuntimeConfig) -> Self {
         Self {
             runtime,
             batch_timeout: Some(Duration::from_millis(2)),
             max_pending: 1024,
-            drain_ops_per_second: None,
-            record_batches: false,
             registry: None,
             native_compute_workers: 0,
-            isolate_domains: true,
             domain_workers: Vec::new(),
             engine_drain_seeds: Vec::new(),
-            auto_preference: EngineRegistry::default_auto_preference()
-                .into_iter()
-                .map(EngineName::new)
-                .collect(),
             obs: None,
             retry: RetryPolicy::default(),
             breaker: BreakerConfig::default(),
@@ -251,30 +257,6 @@ impl OnlineConfig {
         self
     }
 
-    /// **Deprecated** in favour of per-engine calibration (see
-    /// [`OnlineConfig::drain_ops_per_second`]): sets the drain-rate *seed*
-    /// every engine's calibration starts from. Values below 1 op/s are
-    /// clamped to 1.0 — with a diagnostic on stderr in debug builds —
-    /// because a zero or negative rate would make every backlog prediction
-    /// infinite.
-    pub fn with_drain_rate(mut self, ops_per_second: f64) -> Self {
-        if ops_per_second < 1.0 {
-            #[cfg(debug_assertions)]
-            eprintln!(
-                "bishop-runtime: OnlineConfig::with_drain_rate({ops_per_second}) \
-                 clamped to 1.0 ops/s"
-            );
-        }
-        self.drain_ops_per_second = Some(ops_per_second.max(1.0));
-        self
-    }
-
-    /// Enables or disables executed-batch recording.
-    pub fn with_record_batches(mut self, record: bool) -> Self {
-        self.record_batches = record;
-        self
-    }
-
     /// Overrides the engine registry (e.g. to serve a custom backend or to
     /// restrict the served set).
     pub fn with_registry(mut self, registry: Arc<EngineRegistry>) -> Self {
@@ -286,13 +268,6 @@ impl OnlineConfig {
     /// effective with the default registry.
     pub fn with_native_compute_workers(mut self, workers: usize) -> Self {
         self.native_compute_workers = workers;
-        self
-    }
-
-    /// Enables or disables per-engine scheduling domains (`false` = the
-    /// pre-domain shared queue + pool, for A/B measurement).
-    pub fn with_domain_isolation(mut self, isolate: bool) -> Self {
-        self.isolate_domains = isolate;
         self
     }
 
@@ -309,13 +284,6 @@ impl OnlineConfig {
         self.engine_drain_seeds.retain(|(name, _)| *name != engine);
         self.engine_drain_seeds
             .push((engine, ops_per_second.max(1.0)));
-        self
-    }
-
-    /// Overrides the `"auto"` resolution preference order (most-preferred
-    /// first).
-    pub fn with_auto_preference(mut self, preference: Vec<EngineName>) -> Self {
-        self.auto_preference = preference;
         self
     }
 
@@ -348,19 +316,13 @@ impl OnlineConfig {
     }
 
     /// The drain-rate seed for one engine: an explicit per-engine override
-    /// wins, then an explicitly-set global knob, then the descriptor seed.
+    /// wins over the descriptor seed.
     fn drain_seed(&self, name: &str, descriptor_seed: f64) -> f64 {
-        if let Some((_, rate)) = self
-            .engine_drain_seeds
+        self.engine_drain_seeds
             .iter()
             .find(|(engine, _)| engine.as_str() == name)
-        {
-            return rate.max(1.0);
-        }
-        if let Some(rate) = self.drain_ops_per_second {
-            return rate.max(1.0);
-        }
-        descriptor_seed.max(1.0)
+            .map_or(descriptor_seed, |(_, rate)| *rate)
+            .max(1.0)
     }
 }
 
@@ -570,7 +532,10 @@ impl Ticket {
 /// A cloneable, thread-safe submission endpoint of an [`OnlineServer`].
 #[derive(Debug, Clone)]
 pub struct ServerHandle {
-    domains: Arc<Vec<DomainSubmitter>>,
+    /// One bounded channel per scheduling domain. Domain `i` serves
+    /// `engines_index[i]`; requests naming an engine the registry does not
+    /// hold ride domain 0 and fail typed on its worker.
+    domains: Arc<Vec<mpsc::SyncSender<Submission>>>,
     engines_index: Arc<Vec<EngineEntry>>,
     /// Indices into `engines_index`, most-preferred first, that `"auto"`
     /// requests resolve against.
@@ -578,9 +543,6 @@ pub struct ServerHandle {
     cells: Arc<StatsCells>,
     registry: Arc<EngineRegistry>,
     max_pending: usize,
-    /// Drain rate used for deadline admission of requests naming an engine
-    /// the registry does not hold (they fail typed after dispatch).
-    fallback_drain: f64,
     obs: Arc<ObsHub>,
     /// The session store an edge (gateway) registered with this server, if
     /// any — the background sampler scrapes its occupancy/eviction counters
@@ -592,7 +554,7 @@ impl ServerHandle {
     /// Submits a request without a deadline; sheds (never blocks) when the
     /// queue-depth cap or the target domain's bounded channel is full.
     pub fn try_submit(&self, request: InferenceRequest) -> Result<Ticket, Rejection> {
-        self.submit_inner(request, None, false)
+        self.submit_inner(request, None)
     }
 
     /// Submits a request that is only worth serving if it can *start*
@@ -606,17 +568,7 @@ impl ServerHandle {
         request: InferenceRequest,
         deadline: Duration,
     ) -> Result<Ticket, Rejection> {
-        self.submit_inner(request, Some(deadline), false)
-    }
-
-    /// Submits a request, *blocking* on a full queue instead of shedding —
-    /// the backpressure mode trace replay (`BishopServer::serve`) uses.
-    /// Queue-depth and deadline admission do not apply; the only possible
-    /// rejections are [`Rejection::ShuttingDown`] and — for `"auto"`
-    /// requests no registered engine can execute —
-    /// [`Rejection::NoEngineSupportsRequest`].
-    pub fn submit_blocking(&self, request: InferenceRequest) -> Result<Ticket, Rejection> {
-        self.submit_inner(request, None, true)
+        self.submit_inner(request, Some(deadline))
     }
 
     /// Counts one shed into the event log: a rate-limited structured line
@@ -640,7 +592,6 @@ impl ServerHandle {
         &self,
         mut request: InferenceRequest,
         deadline: Option<Duration>,
-        block: bool,
     ) -> Result<Ticket, Rejection> {
         let cells = &self.cells;
         cells.submitted.fetch_add(1, Ordering::Relaxed);
@@ -648,7 +599,7 @@ impl ServerHandle {
             cells.rejected_shutdown.fetch_add(1, Ordering::Relaxed);
             return Err(self.log_shed(request.id, &request.engine, Rejection::ShuttingDown));
         }
-        if !block && cells.pending.load(Ordering::Acquire) >= self.max_pending {
+        if cells.pending.load(Ordering::Acquire) >= self.max_pending {
             cells.rejected_queue_full.fetch_add(1, Ordering::Relaxed);
             return Err(self.log_shed(request.id, &request.engine, Rejection::QueueFull));
         }
@@ -665,7 +616,6 @@ impl ServerHandle {
             let (outcome, decision) = dispatch::select_engine(
                 &self.engines_index,
                 &self.auto_order,
-                &self.domains,
                 &request,
                 estimated_ops,
                 deadline,
@@ -700,23 +650,19 @@ impl ServerHandle {
             // Explicitly-named engines are *not* rerouted around an open
             // breaker — the client asked for this one — but they are shed
             // typed instead of being queued onto a known-unhealthy engine.
-            // (Blocking submission is the offline replay path; it bypasses
-            // the breaker to stay deterministic.)
-            if !block {
-                if let Some(index) = entry_index {
-                    let entry = &self.engines_index[index];
-                    let (admit, transition) = entry.cells.breaker.admit();
-                    if let Some(transition) = transition {
-                        domain::log_breaker_transition(&self.obs, entry.name.as_str(), transition);
-                    }
-                    if let BreakerAdmit::Shed { .. } = admit {
-                        cells.rejected_unavailable.fetch_add(1, Ordering::Relaxed);
-                        return Err(self.log_shed(
-                            request.id,
-                            &request.engine,
-                            Rejection::EngineUnavailable,
-                        ));
-                    }
+            if let Some(index) = entry_index {
+                let entry = &self.engines_index[index];
+                let (admit, transition) = entry.cells.breaker.admit();
+                if let Some(transition) = transition {
+                    domain::log_breaker_transition(&self.obs, entry.name.as_str(), transition);
+                }
+                if let BreakerAdmit::Shed { .. } = admit {
+                    cells.rejected_unavailable.fetch_add(1, Ordering::Relaxed);
+                    return Err(self.log_shed(
+                        request.id,
+                        &request.engine,
+                        Rejection::EngineUnavailable,
+                    ));
                 }
             }
             entry_index
@@ -726,39 +672,36 @@ impl ServerHandle {
             trace.stamp(Stage::Router);
         }
 
-        if !block {
-            if let Some(deadline) = deadline {
-                // Can the request *start* before its deadline? Predict how
-                // long the target domain's admitted backlog takes to drain
-                // at the engine's calibrated rate. (For auto requests the
-                // stronger completion check above already passed.)
-                let (backlog, drain) = match entry_index {
-                    Some(index) => {
-                        let entry = &self.engines_index[index];
-                        (
-                            self.domains[entry.domain].backlog_ops(),
-                            entry.cells.drain.ops_per_second(),
-                        )
-                    }
-                    // Unknown engine: it will fail typed after dispatch;
-                    // admission falls back to the global backlog and seed.
-                    None => (
-                        cells.backlog_ops.load(Ordering::Acquire),
-                        self.fallback_drain,
-                    ),
-                };
-                if backlog as f64 / drain.max(1.0) > deadline.as_secs_f64() {
-                    cells.rejected_deadline.fetch_add(1, Ordering::Relaxed);
-                    return Err(self.log_shed(
-                        request.id,
-                        &request.engine,
-                        Rejection::DeadlineUnmeetable,
-                    ));
+        if let Some(deadline) = deadline {
+            // Can the request *start* before its deadline? Predict how
+            // long the target domain's admitted backlog takes to drain at
+            // the engine's calibrated rate. (For auto requests the stronger
+            // completion check above already passed.)
+            let (backlog, drain) = match entry_index {
+                Some(index) => {
+                    let engine = &self.engines_index[index].cells;
+                    (
+                        engine.backlog_ops.load(Ordering::Acquire),
+                        engine.drain.ops_per_second(),
+                    )
                 }
+                // Unknown engine: it will fail typed after dispatch;
+                // admission falls back to the global backlog and seed.
+                None => (
+                    cells.backlog_ops.load(Ordering::Acquire),
+                    UNKNOWN_ENGINE_DRAIN_OPS_PER_SECOND,
+                ),
+            };
+            if backlog as f64 / drain.max(1.0) > deadline.as_secs_f64() {
+                cells.rejected_deadline.fetch_add(1, Ordering::Relaxed);
+                return Err(self.log_shed(
+                    request.id,
+                    &request.engine,
+                    Rejection::DeadlineUnmeetable,
+                ));
             }
         }
 
-        let domain_index = entry_index.map_or(0, |index| self.engines_index[index].domain);
         let engine_cells = entry_index.map(|index| Arc::clone(&self.engines_index[index].cells));
         let request_id = request.id;
         let engine_name = request.engine.clone();
@@ -790,15 +733,12 @@ impl ServerHandle {
             estimated_ops,
             progress: progress_tx,
         }));
-        let tx = &self.domains[domain_index].tx;
-        let outcome = if block {
-            tx.send(submission).map_err(|_| Rejection::ShuttingDown)
-        } else {
-            tx.try_send(submission).map_err(|error| match error {
+        let outcome = self.domains[entry_index.unwrap_or(0)]
+            .try_send(submission)
+            .map_err(|error| match error {
                 mpsc::TrySendError::Full(_) => Rejection::QueueFull,
                 mpsc::TrySendError::Disconnected(_) => Rejection::ShuttingDown,
-            })
-        };
+            });
         match outcome {
             Ok(()) => {
                 cells.admitted.fetch_add(1, Ordering::Relaxed);
@@ -838,11 +778,7 @@ impl ServerHandle {
             .iter()
             .filter_map(|domain| {
                 let (ack_tx, ack_rx) = mpsc::channel();
-                domain
-                    .tx
-                    .send(Submission::Flush(ack_tx))
-                    .ok()
-                    .map(|()| ack_rx)
+                domain.send(Submission::Flush(ack_tx)).ok().map(|()| ack_rx)
             })
             .collect();
         for ack in acks {
@@ -856,10 +792,11 @@ impl ServerHandle {
         &self.registry
     }
 
-    /// The engines `"auto"` requests resolve against on *this* server, in
-    /// its configured preference order (most-preferred first). Front-ends
-    /// preflighting auto routability must consult this — not the registry
-    /// default — so their view matches the dispatcher's.
+    /// The engines `"auto"` requests resolve against on *this* server —
+    /// [`EngineRegistry::default_auto_preference`] restricted to the
+    /// engines actually registered, most-preferred first. Front-ends
+    /// preflighting auto routability must consult this so their view
+    /// matches the dispatcher's.
     pub fn auto_candidates(&self) -> Vec<EngineName> {
         self.auto_order
             .iter()
@@ -894,7 +831,7 @@ impl ServerHandle {
     /// falls back to the global backlog at the fallback seed rate.
     pub fn predicted_drain_seconds(&self, engine: &EngineName) -> f64 {
         let drain_of = |entry: &EngineEntry| {
-            self.domains[entry.domain].backlog_ops() as f64
+            entry.cells.backlog_ops.load(Ordering::Acquire) as f64
                 / entry.cells.drain.ops_per_second().max(1.0)
         };
         if engine.is_auto() {
@@ -909,7 +846,7 @@ impl ServerHandle {
         } else if let Some(entry) = self.engines_index.iter().find(|e| e.name == *engine) {
             return drain_of(entry);
         }
-        self.cells.backlog_ops.load(Ordering::Acquire) as f64 / self.fallback_drain.max(1.0)
+        self.cells.backlog_ops.load(Ordering::Acquire) as f64 / UNKNOWN_ENGINE_DRAIN_OPS_PER_SECOND
     }
 
     /// Seconds until the named engine's open breaker next admits a
@@ -966,58 +903,6 @@ impl ServerHandle {
     }
 }
 
-/// Bridges one compute-pool lane to a profiler [`StageSlot`]: busy lanes
-/// show as `engine_execute`, idle lanes as `idle`, under the `"compute"`
-/// thread kind so fan-out self-time is attributed separately from the
-/// domain workers.
-#[derive(Debug)]
-struct ComputeLaneProbe {
-    slot: Arc<StageSlot>,
-}
-
-impl WorkerProbe for ComputeLaneProbe {
-    fn busy(&self) {
-        self.slot.set(WorkerStage::EngineExecute);
-    }
-
-    fn idle(&self) {
-        self.slot.set(WorkerStage::Idle);
-    }
-}
-
-/// Builds the default registry's native engine: compute pool sized by the
-/// config knob, one profiler-registered probe per lane.
-fn native_engine_with_probes(compute_workers: usize, obs: &ObsHub) -> NativeEngine {
-    let engine_config = NativeEngineConfig {
-        compute_workers,
-        ..NativeEngineConfig::default()
-    };
-    let pool = ComputePool::new(compute_workers);
-    let width = pool.width();
-    let probes: Vec<Arc<dyn WorkerProbe>> = (0..width)
-        .map(|_| {
-            Arc::new(ComputeLaneProbe {
-                slot: obs.profiler.register("native", "compute"),
-            }) as Arc<dyn WorkerProbe>
-        })
-        .collect();
-    let engine = NativeEngine::with_config_and_pool(engine_config, pool.with_probes(probes));
-    // One structured boot line: which popcount path the host resolved to
-    // and how wide the compute-pool handle is.
-    obs.events.emit(
-        EventLevel::Info,
-        "native_compute_resolved",
-        &[
-            (
-                "simd_tier",
-                EventValue::Str(engine.descriptor().simd_tier.unwrap_or("scalar")),
-            ),
-            ("compute_workers", EventValue::U64(width as u64)),
-        ],
-    );
-    engine
-}
-
 /// The always-on serving stack: per-engine scheduling domains (bounded
 /// queue + batcher + dedicated workers each) over a pluggable engine
 /// registry, fed through cloneable [`ServerHandle`]s with deadline-aware
@@ -1026,7 +911,6 @@ fn native_engine_with_probes(compute_workers: usize, obs: &ObsHub) -> NativeEngi
 pub struct OnlineServer {
     handle: ServerHandle,
     domains: Vec<DomainThreads>,
-    executed: Arc<Mutex<Vec<ExecutedBatch>>>,
     sampler: Option<sampler::SamplerThread>,
 }
 
@@ -1052,101 +936,95 @@ impl OnlineServer {
             .clone()
             .unwrap_or_else(|| Arc::new(ObsHub::default()));
         let registry = config.registry.clone().unwrap_or_else(|| {
+            let native = NativeEngine::with_config(NativeEngineConfig {
+                compute_workers: config.native_compute_workers,
+                ..NativeEngineConfig::default()
+            });
+            // One structured boot line: which popcount path the host
+            // resolved to and how wide the compute-pool handle is.
+            obs.events.emit(
+                EventLevel::Info,
+                "native_compute_resolved",
+                &[
+                    (
+                        "simd_tier",
+                        EventValue::Str(native.descriptor().simd_tier.unwrap_or("scalar")),
+                    ),
+                    (
+                        "compute_workers",
+                        EventValue::U64(
+                            ComputePool::new(config.native_compute_workers).width() as u64
+                        ),
+                    ),
+                ],
+            );
             Arc::new(
                 EngineRegistry::serving_default(&config.runtime.hardware, cache, results)
                     // Replace the stock native engine (in place, keeping
-                    // its registry position) with one whose compute pool
-                    // is sized by the config and whose lanes publish
-                    // "compute" stage slots to the profiler.
-                    .with_engine(Arc::new(native_engine_with_probes(
-                        config.native_compute_workers,
-                        &obs,
-                    ))),
+                    // its registry position) with the configured one.
+                    .with_engine(Arc::new(native)),
             )
         });
         let bundle = config.runtime.hardware.bundle;
         let cells = Arc::new(StatsCells::default());
-        let executed = Arc::new(Mutex::new(Vec::new()));
-        let record = config.record_batches.then(|| Arc::clone(&executed));
 
-        // Lay engines out into domains: one per engine under isolation,
-        // one shared domain otherwise. An empty registry still gets one
-        // (engine-less) domain so unknown-engine requests can ride to a
+        // One scheduling domain per registered engine, in registry order
+        // (domain `i` serves engine `i`). An empty registry still gets one
+        // engine-less domain so unknown-engine requests can ride to a
         // worker and fail typed.
         let descriptors = registry.descriptors();
-        let layout: Vec<Vec<usize>> = if descriptors.is_empty() {
-            vec![Vec::new()]
-        } else if config.isolate_domains {
-            (0..descriptors.len()).map(|index| vec![index]).collect()
-        } else {
-            vec![(0..descriptors.len()).collect()]
-        };
-
-        let engine_cells: Vec<Arc<EngineCells>> = descriptors
+        let engines_index: Vec<EngineEntry> = descriptors
             .iter()
-            .map(|descriptor| {
-                Arc::new(EngineCells::new(
+            .map(|descriptor| EngineEntry {
+                name: EngineName::new(descriptor.name),
+                descriptor: descriptor.clone(),
+                cells: Arc::new(EngineCells::new(
                     EngineName::new(descriptor.name),
                     config.drain_seed(descriptor.name, descriptor.seed_drain_ops_per_second),
                     config.breaker.clone(),
                     &config.retry,
-                ))
+                )),
             })
             .collect();
-        let mut engines_index = Vec::with_capacity(descriptors.len());
-        for (domain, members) in layout.iter().enumerate() {
-            for &index in members {
-                engines_index.push(EngineEntry {
-                    name: EngineName::new(descriptors[index].name),
-                    descriptor: descriptors[index].clone(),
-                    cells: Arc::clone(&engine_cells[index]),
-                    domain,
-                });
-            }
-        }
-        let auto_order: Vec<usize> = config
-            .auto_preference
+        let auto_order: Vec<usize> = EngineRegistry::default_auto_preference()
             .iter()
             .filter_map(|preferred| {
                 engines_index
                     .iter()
-                    .position(|entry| entry.name == *preferred)
+                    .position(|entry| entry.name.as_str() == *preferred)
             })
             .collect();
+        let engine_cells: Vec<Arc<EngineCells>> = engines_index
+            .iter()
+            .map(|entry| Arc::clone(&entry.cells))
+            .collect();
 
-        let stride = layout.len() as u64;
-        let mut submitters = Vec::with_capacity(layout.len());
-        let mut domain_threads = Vec::with_capacity(layout.len());
-        for (domain, members) in layout.iter().enumerate() {
-            let workers = if config.isolate_domains {
-                members
-                    .first()
-                    .and_then(|&index| {
-                        config
-                            .domain_workers
-                            .iter()
-                            .find(|(name, _)| name.as_str() == descriptors[index].name)
-                            .map(|(_, workers)| *workers)
-                    })
-                    .unwrap_or(config.runtime.workers)
-            } else {
-                config.runtime.workers
-            };
+        let domain_count = engines_index.len().max(1);
+        let mut submitters = Vec::with_capacity(domain_count);
+        let mut domain_threads = Vec::with_capacity(domain_count);
+        for domain in 0..domain_count {
+            let engine = engine_cells.get(domain).cloned();
+            let workers = engine
+                .as_ref()
+                .and_then(|engine| {
+                    config
+                        .domain_workers
+                        .iter()
+                        .find(|(name, _)| *name == engine.name)
+                        .map(|(_, workers)| *workers)
+                })
+                .unwrap_or(config.runtime.workers);
             let (submitter, threads) = spawn_domain(DomainSpec {
-                engines: members
-                    .iter()
-                    .map(|&index| Arc::clone(&engine_cells[index]))
-                    .collect(),
+                engine,
                 workers: workers.max(1),
                 queue_capacity: config.runtime.queue_capacity,
                 batch_id_base: domain as u64,
-                batch_id_stride: stride,
+                batch_id_stride: domain_count as u64,
                 policy: config.runtime.batching,
                 batch_timeout: config.batch_timeout,
                 bundle,
                 registry: Arc::clone(&registry),
                 cells: Arc::clone(&cells),
-                record: record.clone(),
                 obs: Arc::clone(&obs),
                 retry: config.retry.clone(),
             });
@@ -1160,7 +1038,7 @@ impl OnlineServer {
                 config.sampler.clone(),
                 Arc::clone(&obs),
                 Arc::clone(&cells),
-                engine_cells.clone(),
+                engine_cells,
                 Arc::clone(&sessions),
             )
         });
@@ -1171,17 +1049,12 @@ impl OnlineServer {
             cells,
             registry,
             max_pending: config.max_pending,
-            fallback_drain: config
-                .drain_ops_per_second
-                .unwrap_or(DEFAULT_DRAIN_OPS_PER_SECOND)
-                .max(1.0),
             obs,
             sessions,
         };
         Self {
             handle,
             domains: domain_threads,
-            executed,
             sampler: sampler_thread,
         }
     }
@@ -1205,18 +1078,12 @@ impl OnlineServer {
     /// execute their batches, join every domain's threads, and report final
     /// stats.
     pub fn shutdown(self) -> OnlineStats {
-        self.shutdown_with_batches().0
-    }
-
-    /// Shutdown that also returns the recorded executed batches (empty
-    /// unless `record_batches` was set).
-    pub(crate) fn shutdown_with_batches(self) -> (OnlineStats, Vec<ExecutedBatch>) {
         self.handle
             .cells
             .shutting_down
             .store(true, Ordering::Release);
         for domain in self.handle.domains.iter() {
-            let _ = domain.tx.send(Submission::Shutdown);
+            let _ = domain.send(Submission::Shutdown);
         }
         for threads in self.domains {
             threads.join();
@@ -1226,9 +1093,7 @@ impl OnlineServer {
         if let Some(sampler) = self.sampler {
             sampler.stop_and_join();
         }
-        let stats = self.handle.stats();
-        let executed = std::mem::take(&mut *self.executed.lock().expect("executed lock"));
-        (stats, executed)
+        self.handle.stats()
     }
 }
 
@@ -1443,54 +1308,117 @@ mod tests {
     }
 
     #[test]
-    fn shared_layout_still_serves_every_engine() {
-        let server = OnlineServer::start(
-            OnlineConfig::new(RuntimeConfig::new(2, BatchPolicy::new(4)))
-                .with_batch_timeout(None)
-                .with_domain_isolation(false),
-        );
+    fn drain_seed_resolution_prefers_explicit_overrides() {
+        // No override: the descriptor seed wins.
+        let config = OnlineConfig::default();
+        assert_eq!(config.drain_seed("native", 2e9), 2e9);
+        // A per-engine override beats it, for that engine only.
+        let config = config.with_engine_drain_seed(EngineName::native(), 7.0);
+        assert_eq!(config.drain_seed("native", 2e9), 7.0);
+        assert_eq!(config.drain_seed("simulator", 5e9), 5e9);
+        // The clamp never lets a seed below 1 op/s through.
+        let config = OnlineConfig::default().with_engine_drain_seed(EngineName::native(), 0.0);
+        assert_eq!(config.drain_seed("native", 2e9), 1.0);
+        assert_eq!(config.drain_seed("simulator", 0.0), 1.0);
+    }
+
+    /// Replays `trace` through `server` in order (timing-free: no batch
+    /// timeout, one flush) and returns the responses in trace order.
+    fn replay(server: &OnlineServer, trace: Vec<InferenceRequest>) -> Vec<InferenceResponse> {
         let handle = server.handle();
-        let trace = mixed_trace(&default_mixed_models(), 4, 2, 9);
         let tickets: Vec<Ticket> = trace
             .into_iter()
             .map(|r| handle.try_submit(r).expect("admitted"))
             .collect();
         handle.flush();
-        for ticket in tickets {
-            ticket.wait().expect("resolved").expect("executed");
-        }
-        let stats = server.shutdown();
-        assert_eq!(stats.completed, 4);
-        // Per-engine attribution works even in the shared domain.
-        let simulator = stats
-            .engines
-            .iter()
-            .find(|e| e.engine == EngineName::simulator())
-            .expect("simulator stats");
-        assert_eq!(simulator.completed, 4);
+        tickets
+            .into_iter()
+            .map(|t| t.wait().expect("resolved").expect("executed"))
+            .collect()
     }
 
     #[test]
-    fn drain_seed_resolution_prefers_explicit_overrides() {
-        let config = OnlineConfig::default();
-        // Unset global knob: descriptor seeds win.
-        assert_eq!(config.drain_seed("native", 2e9), 2e9);
-        // Explicit global knob seeds every engine.
-        let config = OnlineConfig::default().with_drain_rate(123.0);
-        assert_eq!(config.drain_seed("native", 2e9), 123.0);
-        // Per-engine override beats both.
-        let config = config.with_engine_drain_seed(EngineName::native(), 7.0);
-        assert_eq!(config.drain_seed("native", 2e9), 7.0);
-        assert_eq!(config.drain_seed("simulator", 5e9), 123.0);
-        // Explicitly pinning the old global default is honoured verbatim —
-        // `Some(rate)` vs `None`, no magic-value aliasing.
-        let config = OnlineConfig::default().with_drain_rate(DEFAULT_DRAIN_OPS_PER_SECOND);
-        assert_eq!(
-            config.drain_seed("native", 2e9),
-            DEFAULT_DRAIN_OPS_PER_SECOND
+    fn batching_amortizes_simulated_cost_per_request() {
+        // The same trace served sequentially (batch=1) and batched (batch=8):
+        // batching folds requests into the timestep axis, paying weight
+        // streaming and pipeline overhead once per batch, so the total
+        // simulated cycles (summed once per distinct batch) must drop.
+        let total_cycles = |cap: usize| {
+            let server = online(BatchPolicy::new(cap), None);
+            let responses = replay(&server, mixed_trace(&default_mixed_models(), 16, 4, 1000));
+            server.shutdown();
+            let mut batches: Vec<(u64, u64)> = responses
+                .iter()
+                .map(|r| (r.batch_id, r.output.cycles))
+                .collect();
+            batches.sort_unstable();
+            batches.dedup();
+            assert!(cap == 1 || batches.len() < responses.len());
+            batches.iter().map(|(_, cycles)| cycles).sum::<u64>()
+        };
+        let (sequential, batched) = (total_cycles(1), total_cycles(8));
+        assert!(
+            batched < sequential,
+            "batched {batched} cycles vs sequential {sequential} cycles"
         );
-        // The clamp never lets a seed below 1 op/s through.
-        let config = OnlineConfig::default().with_drain_rate(0.0);
-        assert_eq!(config.drain_seed("native", 2e9), 1.0);
+    }
+
+    #[test]
+    fn repeated_traffic_hits_the_caches() {
+        let cache = Arc::new(CalibrationCache::new());
+        let results = Arc::new(ResultCache::new());
+        let serve = || {
+            let server = OnlineServer::with_caches(
+                OnlineConfig::new(RuntimeConfig::new(2, BatchPolicy::new(4)))
+                    .with_batch_timeout(None),
+                Arc::clone(&cache),
+                Arc::clone(&results),
+            );
+            let responses = replay(&server, mixed_trace(&default_mixed_models(), 8, 4, 1000));
+            server.shutdown();
+            responses
+        };
+        let first = serve();
+        let (cache_first, results_first) = (cache.stats(), results.stats());
+        assert_eq!(cache_first.hits, 0);
+        assert!(cache_first.misses > 0);
+        assert!(results_first.misses > 0);
+        // The identical trace again: every batch result is already memoized,
+        // so neither simulation nor workload synthesis runs at all.
+        let second = serve();
+        let replayed = results.stats().since(&results_first);
+        assert_eq!(replayed.misses, 0);
+        assert_eq!(replayed.hits, results_first.misses);
+        assert_eq!(
+            cache.stats().since(&cache_first),
+            bishop_engine::CacheStats::default(),
+            "result hits short-circuit workload synthesis entirely"
+        );
+        // And the simulated outputs are unchanged.
+        for (a, b) in first.iter().zip(&second) {
+            assert_eq!((a.request_id, a.batch_id), (b.request_id, b.batch_id));
+            assert_eq!(a.output, b.output);
+        }
+    }
+
+    #[test]
+    fn native_engine_trace_serves_with_real_execution() {
+        // Route the non-ECP model to the native CPU backend: every request
+        // gets a measured-wall-clock response with a real prediction.
+        let requests: Vec<InferenceRequest> = mixed_trace(&default_mixed_models(), 8, 4, 1000)
+            .into_iter()
+            .filter(|r| r.options.ecp_threshold.is_none())
+            .map(|r| r.with_engine(EngineName::native()))
+            .collect();
+        let count = requests.len();
+        let server = online(BatchPolicy::new(4), None);
+        let responses = replay(&server, requests);
+        assert_eq!(responses.len(), count);
+        for response in &responses {
+            assert_eq!(response.engine(), "native");
+            assert!(response.output.wall_seconds.expect("measured") > 0.0);
+            assert!(response.output.prediction.is_some());
+        }
+        assert_eq!(server.shutdown().failed, 0);
     }
 }

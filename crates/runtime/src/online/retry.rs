@@ -44,7 +44,7 @@ impl Default for RetryPolicy {
 }
 
 impl RetryPolicy {
-    /// A policy that never retries (the offline/deterministic path).
+    /// A policy that never retries.
     pub fn disabled() -> Self {
         Self {
             max_attempts: 1,

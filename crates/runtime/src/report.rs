@@ -1,10 +1,6 @@
-//! Per-run serving statistics.
+//! Latency percentile summaries.
 
-use bishop_core::RunMetrics;
-
-use crate::cache::CacheStats;
-
-/// Simulated latency percentiles of one serving run, in seconds.
+/// Per-request latency percentiles over a set of observations, in seconds.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct LatencyPercentiles {
     /// Median request latency.
@@ -45,137 +41,6 @@ impl LatencyPercentiles {
     }
 }
 
-/// Fraction of simulated busy cycles spent in each layer group
-/// (`P1`/`ATN`/`P2`/`MLP`, as in the paper's per-layer breakdown).
-#[derive(Debug, Clone, Copy, PartialEq, Default)]
-pub struct CoreUtilization {
-    /// Q/K/V projection share.
-    pub p1: f64,
-    /// Spiking self-attention share.
-    pub atn: f64,
-    /// Attention output projection share.
-    pub p2: f64,
-    /// MLP share.
-    pub mlp: f64,
-}
-
-impl CoreUtilization {
-    /// Aggregates the group shares over a set of batch runs.
-    pub fn from_runs<'a>(runs: impl Iterator<Item = &'a RunMetrics> + Clone) -> Self {
-        let total: u64 = runs.clone().map(|r| r.total_cycles()).sum();
-        if total == 0 {
-            return Self::default();
-        }
-        let group = |name: &str| {
-            runs.clone().map(|r| r.cycles_for_group(name)).sum::<u64>() as f64 / total as f64
-        };
-        Self {
-            p1: group("P1"),
-            atn: group("ATN"),
-            p2: group("P2"),
-            mlp: group("MLP"),
-        }
-    }
-}
-
-/// Deterministic aggregates of one serving run: every field derives from the
-/// simulated batch results and the (timing-free) batch formation, so a given
-/// traffic trace produces bit-identical aggregates regardless of worker
-/// count or scheduling jitter.
-#[derive(Debug, Clone, PartialEq, Default)]
-pub struct ServingAggregates {
-    /// Number of requests served.
-    pub requests: u64,
-    /// Number of batches formed.
-    pub batches: u64,
-    /// Mean requests per batch.
-    pub mean_batch_size: f64,
-    /// Simulated per-request latency percentiles.
-    pub latency: LatencyPercentiles,
-    /// Total busy cycles reported by the engines across all batches. Each
-    /// engine counts on its own clock, so the sum is only commensurable for
-    /// single-engine traces (throughput below is derived from per-batch
-    /// latencies instead, which are clock-safe).
-    pub total_simulated_cycles: u64,
-    /// Simulated throughput of one chip instance: requests per
-    /// chip-busy-second. Multiply by the worker count for fleet throughput.
-    pub simulated_requests_per_chip_second: f64,
-    /// Total simulated energy in millijoules.
-    pub total_energy_mj: f64,
-    /// Busy-cycle share per layer group.
-    pub utilization: CoreUtilization,
-    /// Calibration-cache (workload synthesis) hit/miss counters accumulated
-    /// during the run.
-    pub cache: CacheStats,
-    /// Result-cache (whole-batch simulation) hit/miss counters accumulated
-    /// during the run.
-    pub result_cache: CacheStats,
-}
-
-/// Wall-clock (host-side) statistics of one serving run. Unlike
-/// [`ServingAggregates`] these depend on the machine, the worker count and
-/// scheduling noise.
-#[derive(Debug, Clone, Copy, PartialEq, Default)]
-pub struct WallClockStats {
-    /// Host seconds spent inside `serve`.
-    pub elapsed_seconds: f64,
-    /// Requests completed per host second.
-    pub requests_per_second: f64,
-    /// Worker threads (simulated chip instances) used.
-    pub workers: usize,
-}
-
-/// The full per-run report emitted by the runtime.
-#[derive(Debug, Clone, PartialEq, Default)]
-pub struct ThroughputReport {
-    /// Machine-independent, deterministic aggregates.
-    pub aggregates: ServingAggregates,
-    /// Host-side wall-clock statistics.
-    pub wall: WallClockStats,
-}
-
-impl ThroughputReport {
-    /// Renders the report as a compact human-readable block.
-    pub fn render(&self) -> String {
-        let a = &self.aggregates;
-        let util = &a.utilization;
-        format!(
-            "requests            : {}\n\
-             batches             : {} (mean size {:.2})\n\
-             sim latency p50     : {:.3} ms\n\
-             sim latency p95     : {:.3} ms\n\
-             sim latency p99     : {:.3} ms\n\
-             sim chip throughput : {:.1} req/s per chip\n\
-             sim energy          : {:.3} mJ\n\
-             core utilization    : P1 {:.1}% | ATN {:.1}% | P2 {:.1}% | MLP {:.1}%\n\
-             calibration cache   : {} hits / {} misses ({:.0}% hit rate)\n\
-             result cache        : {} hits / {} misses ({:.0}% hit rate)\n\
-             wall clock          : {:.3} s, {:.1} req/s on {} workers",
-            a.requests,
-            a.batches,
-            a.mean_batch_size,
-            a.latency.p50 * 1e3,
-            a.latency.p95 * 1e3,
-            a.latency.p99 * 1e3,
-            a.simulated_requests_per_chip_second,
-            a.total_energy_mj,
-            util.p1 * 100.0,
-            util.atn * 100.0,
-            util.p2 * 100.0,
-            util.mlp * 100.0,
-            a.cache.hits,
-            a.cache.misses,
-            a.cache.hit_rate() * 100.0,
-            a.result_cache.hits,
-            a.result_cache.misses,
-            a.result_cache.hit_rate() * 100.0,
-            self.wall.elapsed_seconds,
-            self.wall.requests_per_second,
-            self.wall.workers,
-        )
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -202,31 +67,10 @@ mod tests {
     fn empty_latencies_yield_a_zeroed_report_without_panicking() {
         // Regression: the percentile rank was clamped with
         // `rank.clamp(1, sorted.len())`, which panics (`min > max`) on an
-        // empty latency set — e.g. a serving run that shed every request.
+        // empty latency set — e.g. an engine that has completed nothing yet.
         let p = LatencyPercentiles::from_latencies(&[]);
         assert_eq!(p, LatencyPercentiles::default());
         assert_eq!(p.p50, 0.0);
         assert_eq!(p.max, 0.0);
-    }
-
-    #[test]
-    fn render_contains_headline_numbers() {
-        let report = ThroughputReport {
-            aggregates: ServingAggregates {
-                requests: 12,
-                batches: 3,
-                mean_batch_size: 4.0,
-                ..ServingAggregates::default()
-            },
-            wall: WallClockStats {
-                elapsed_seconds: 0.5,
-                requests_per_second: 24.0,
-                workers: 2,
-            },
-        };
-        let text = report.render();
-        assert!(text.contains("requests            : 12"));
-        assert!(text.contains("mean size 4.00"));
-        assert!(text.contains("2 workers"));
     }
 }

@@ -4,9 +4,10 @@
 
 use std::time::Duration;
 
+use bishop_engine::EngineName;
 use bishop_runtime::{
-    default_mixed_models, mixed_trace, BatchPolicy, BishopServer, OnlineConfig, OnlineServer,
-    Rejection, RuntimeConfig, Ticket,
+    default_mixed_models, mixed_trace, BatchPolicy, OnlineConfig, OnlineServer, Rejection,
+    RuntimeConfig, Ticket,
 };
 
 fn overloaded_config(max_pending: usize) -> OnlineConfig {
@@ -74,7 +75,7 @@ fn deadline_admission_sheds_when_backlog_outlasts_the_deadline() {
     // until it completes.
     let config = OnlineConfig::new(RuntimeConfig::new(1, BatchPolicy::new(8)))
         .with_batch_timeout(None)
-        .with_drain_rate(1.0);
+        .with_engine_drain_seed(EngineName::simulator(), 1.0);
     let server = OnlineServer::start(config);
     let handle = server.handle();
     let mut trace = mixed_trace(&default_mixed_models(), 2, 1, 21);
@@ -124,15 +125,4 @@ fn flush_closes_partial_batches() {
         assert_eq!(response.batch_size, 3);
     }
     server.shutdown();
-}
-
-#[test]
-fn blocking_replay_still_serves_all_requests_and_sheds_none() {
-    // The offline `serve` path rides the same online machinery but blocks
-    // for backpressure instead of shedding: with a queue of capacity 1 and
-    // 12 requests, every request is still answered exactly once.
-    let config = RuntimeConfig::new(2, BatchPolicy::new(4)).with_queue_capacity(1);
-    let outcome = BishopServer::new(config).serve(mixed_trace(&default_mixed_models(), 12, 2, 7));
-    assert_eq!(outcome.responses.len(), 12);
-    assert_eq!(outcome.admission.total(), 0);
 }

@@ -1,56 +1,75 @@
-//! The runtime's determinism guarantee: the same seed and the same traffic
-//! trace produce identical `ThroughputReport` aggregates (and identical
-//! per-request simulated latencies) regardless of worker count.
+//! The runtime's determinism guarantee: with the batch timeout disabled,
+//! the same seed and the same traffic trace produce identical per-request
+//! batch assignments and simulated results regardless of worker count.
 
 use bishop_runtime::{
-    default_mixed_models, mixed_trace, BatchPolicy, BishopServer, RuntimeConfig, ServingOutcome,
+    default_mixed_models, mixed_trace, BatchPolicy, InferenceRequest, OnlineConfig, OnlineServer,
+    RuntimeConfig, Ticket,
 };
 
-fn serve_with_workers(workers: usize) -> ServingOutcome {
-    let trace = mixed_trace(&default_mixed_models(), 24, 3, 77);
-    let server = BishopServer::new(RuntimeConfig::new(workers, BatchPolicy::new(4)));
-    server.serve(trace)
+/// What one request resolved to: `(request_id, batch_id, batch_size,
+/// latency_seconds, output.cycles, output.energy_mj)`.
+type Served = (u64, u64, usize, f64, u64, f64);
+
+/// Replays `trace` in order through a timing-free server (batches close on
+/// size or the final flush only) and returns the responses in trace order.
+fn serve(workers: usize, trace: Vec<InferenceRequest>) -> Vec<Served> {
+    let server = OnlineServer::start(
+        OnlineConfig::new(RuntimeConfig::new(workers, BatchPolicy::new(4)))
+            .with_batch_timeout(None),
+    );
+    let handle = server.handle();
+    let tickets: Vec<Ticket> = trace
+        .into_iter()
+        .map(|request| handle.try_submit(request).expect("admitted"))
+        .collect();
+    handle.flush();
+    let served = tickets
+        .into_iter()
+        .map(|ticket| {
+            let r = ticket
+                .wait()
+                .expect("every ticket resolves")
+                .expect("simulator executes every batch");
+            (
+                r.request_id,
+                r.batch_id,
+                r.batch_size,
+                r.latency_seconds,
+                r.output.cycles,
+                r.output.energy_mj,
+            )
+        })
+        .collect();
+    server.shutdown();
+    served
+}
+
+fn serve_with_workers(workers: usize) -> Vec<Served> {
+    serve(workers, mixed_trace(&default_mixed_models(), 24, 3, 77))
 }
 
 #[test]
-fn aggregates_are_identical_for_1_2_and_4_workers() {
+fn responses_are_identical_for_1_2_and_4_workers() {
     let one = serve_with_workers(1);
-    let two = serve_with_workers(2);
-    let four = serve_with_workers(4);
-
-    assert_eq!(one.report.aggregates, two.report.aggregates);
-    assert_eq!(one.report.aggregates, four.report.aggregates);
-
-    // Per-request simulated latencies and batch assignments also match.
-    for (a, b) in one.responses.iter().zip(four.responses.iter()) {
-        assert_eq!(a.request_id, b.request_id);
-        assert_eq!(a.batch_id, b.batch_id);
-        assert_eq!(a.batch_size, b.batch_size);
-        assert_eq!(a.latency_seconds, b.latency_seconds);
-    }
-
-    // Wall-clock stats are the one part allowed to differ.
-    assert_eq!(one.report.wall.workers, 1);
-    assert_eq!(four.report.wall.workers, 4);
+    assert_eq!(one.len(), 24);
+    assert_eq!(one, serve_with_workers(2));
+    assert_eq!(one, serve_with_workers(4));
 }
 
 #[test]
 fn repeated_runs_with_the_same_trace_are_identical() {
-    let a = serve_with_workers(2);
-    let b = serve_with_workers(2);
-    // Cache counters differ only if the caches were shared; each run above
-    // uses a fresh server, so even those match.
-    assert_eq!(a.report.aggregates, b.report.aggregates);
+    assert_eq!(serve_with_workers(2), serve_with_workers(2));
 }
 
 #[test]
-fn different_seeds_change_the_aggregates() {
+fn different_seeds_change_the_results() {
     let models = default_mixed_models();
-    let server = BishopServer::new(RuntimeConfig::new(2, BatchPolicy::new(4)));
-    let a = server.serve(mixed_trace(&models, 8, 2, 1));
-    let b = server.serve(mixed_trace(&models, 8, 2, 2));
-    assert_ne!(
-        a.report.aggregates.total_simulated_cycles,
-        b.report.aggregates.total_simulated_cycles
-    );
+    let cycles = |seed: u64| -> Vec<u64> {
+        serve(2, mixed_trace(&models, 8, 2, seed))
+            .iter()
+            .map(|served| served.4)
+            .collect()
+    };
+    assert_ne!(cycles(1), cycles(2));
 }

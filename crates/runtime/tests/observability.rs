@@ -299,10 +299,10 @@ fn sampler_final_scrape_lands_counters_for_a_short_lived_server() {
 }
 
 #[test]
-fn compute_pool_lanes_register_profiler_slots_and_log_resolution() {
+fn native_compute_resolution_is_logged_at_boot() {
     // A forced pool width of 3 (independent of the host's core count) must
-    // surface as three ("native", "compute") profiler lanes and one
-    // structured boot line recording the resolved SIMD tier and width.
+    // surface in one structured boot line recording the resolved SIMD tier
+    // and width.
     let hub = Arc::new(ObsHub::default());
     let sink = CaptureSink::default();
     hub.events.set_sink(Box::new(sink.clone()));
@@ -312,12 +312,14 @@ fn compute_pool_lanes_register_profiler_slots_and_log_resolution() {
             .with_sampler(SamplerConfig::disabled())
             .with_obs(Arc::clone(&hub)),
     );
-    let handle = server.handle();
 
     let events = sink.text();
-    assert!(
-        events.contains("\"event\":\"native_compute_resolved\""),
-        "missing boot event: {events}"
+    assert_eq!(
+        events
+            .matches("\"event\":\"native_compute_resolved\"")
+            .count(),
+        1,
+        "exactly one boot event: {events}"
     );
     assert!(events.contains("\"compute_workers\":3"), "{events}");
     assert!(
@@ -326,23 +328,5 @@ fn compute_pool_lanes_register_profiler_slots_and_log_resolution() {
             .any(|tier| events.contains(&format!("\"simd_tier\":\"{tier}\""))),
         "boot event must name a known SIMD tier: {events}"
     );
-
-    // With the background sampler off, one manual sweep sees exactly the
-    // three idle pool lanes under the "compute" kind.
-    hub.profiler.sample(0.001);
-    let report = hub.profiler.report();
-    let row = report
-        .entries
-        .iter()
-        .find(|entry| entry.engine == "native" && entry.kind == "compute")
-        .expect("compute lanes must be registered with the profiler");
-    assert_eq!(row.stage, "idle");
-    assert_eq!(row.samples, 3);
-
-    // And an engine holding the width-3 pool serves a native request.
-    let entry = default_mixed_models().into_iter().next().expect("catalog");
-    let ticket = handle
-        .try_submit(InferenceRequest::new(0, entry, 0).with_engine(EngineName::native()))
-        .expect("admitted");
-    assert!(matches!(ticket.wait(), Some(Ok(_))));
+    server.shutdown();
 }

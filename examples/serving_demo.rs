@@ -1,7 +1,7 @@
 //! Serving demo: drive mixed CIFAR-10 / ImageNet-100 traffic through the
-//! `bishop-runtime` inference server and compare the pre-runtime status quo
-//! (a sequential synthesize-and-simulate loop per request) against batched
-//! multi-worker serving.
+//! `bishop-runtime` online server in-process (no HTTP) and compare the
+//! pre-runtime status quo (a sequential synthesize-and-simulate loop per
+//! request) against batched multi-worker serving, cold and cache-warm.
 //!
 //! Run with `cargo run --release --example serving_demo`.
 
@@ -16,11 +16,7 @@ fn main() {
     //    real retry/replay traffic does.
     let models = default_mixed_models();
     let trace = mixed_trace(&models, 64, 4, 42);
-    println!(
-        "traffic: {} requests over {} models",
-        trace.len(),
-        models.len()
-    );
+    println!("traffic: {} requests over:", trace.len());
     for entry in &models {
         println!(
             "  - {} ({:?}, ecp={:?})",
@@ -32,47 +28,50 @@ fn main() {
     //    simulation per request, sequentially, nothing shared.
     let simulator = BishopSimulator::new(BishopConfig::default());
     let start = Instant::now();
-    let mut sequential_latency = 0.0;
+    let mut sequential_cycles = 0;
     for request in &trace {
         let workload = synthesize(request.model(), request.regime, request.seed);
-        let run = simulator.simulate(&workload, &request.options);
-        sequential_latency += run.total_latency_seconds();
+        sequential_cycles += simulator
+            .simulate(&workload, &request.options)
+            .total_cycles();
     }
-    let sequential_elapsed = start.elapsed().as_secs_f64();
-    let sequential_rps = trace.len() as f64 / sequential_elapsed;
-    println!("\n=== sequential single-request loop (no runtime) ===");
-    println!("wall clock          : {sequential_elapsed:.3} s, {sequential_rps:.1} req/s");
-    println!(
-        "sim latency (total) : {:.3} ms across {} requests",
-        sequential_latency * 1e3,
-        trace.len()
-    );
+    let sequential_rps = trace.len() as f64 / start.elapsed().as_secs_f64();
+    println!("\nsequential loop : {sequential_rps:.1} req/s, {sequential_cycles} simulated cycles");
 
-    // 3. Batched multi-worker serving: compatible requests coalesce into
-    //    Token-Time-Bundle-aligned batches and shard across 4 simulated
-    //    Bishop chip instances, with workload + result memoization.
-    let server = BishopServer::new(RuntimeConfig::new(4, BatchPolicy::new(8)));
-    let outcome = server.serve(trace.clone());
-    println!("\n=== batched (4 workers, batch size 8) ===");
-    println!("{}", outcome.report.render());
-
-    // 4. Re-serve the identical trace: the result cache now answers every
+    // 3. The online server: compatible requests coalesce into
+    //    Token-Time-Bundle-aligned batches (8 requests or 2 ms) and shard
+    //    across 4 simulated Bishop chip instances, with workload + result
+    //    memoization. Every submission returns a ticket; nothing blocks.
+    let server = OnlineServer::start(OnlineConfig::new(RuntimeConfig::new(
+        4,
+        BatchPolicy::new(8),
+    )));
+    let handle = server.handle();
+    let serve = |label: &str| {
+        let before = handle.stats();
+        let start = Instant::now();
+        let tickets: Vec<Ticket> = trace
+            .iter()
+            .map(|request| handle.try_submit(request.clone()).expect("admitted"))
+            .collect();
+        for ticket in tickets {
+            ticket.wait().expect("answered").expect("executed");
+        }
+        let rps = trace.len() as f64 / start.elapsed().as_secs_f64();
+        let after = handle.stats();
+        println!(
+            "{label} : {rps:.1} req/s ({:.2}x), {} batches, {} simulated cycles",
+            rps / sequential_rps,
+            after.batches_executed - before.batches_executed,
+            after.total_simulated_cycles - before.total_simulated_cycles,
+        );
+    };
+    serve("batched, cold  ");
+    // 4. The identical trace again: the result cache now answers every
     //    batch without simulating at all.
-    let replay = server.serve(trace);
-    println!("\n=== replay on a warm cache ===");
-    println!("{}", replay.report.render());
+    serve("batched, warm  ");
 
-    // 5. Headline comparison.
-    let cold_speedup = outcome.report.wall.requests_per_second / sequential_rps;
-    let warm_speedup = replay.report.wall.requests_per_second / sequential_rps;
-    println!("\nbatched vs sequential single-request loop:");
-    println!("  cold caches : {cold_speedup:.2}x wall-clock throughput");
-    println!("  warm caches : {warm_speedup:.2}x wall-clock throughput");
-    println!(
-        "  simulated   : {:.3} ms total chip time vs {:.3} ms sequential (weight streaming + overhead amortized)",
-        outcome.report.aggregates.total_simulated_cycles as f64
-            / server.config().hardware.clock_hz
-            * 1e3,
-        sequential_latency * 1e3,
-    );
+    let stats = server.shutdown();
+    let shed = stats.admission.total();
+    println!("\nserved {} requests, shed {shed}", stats.completed);
 }

@@ -27,10 +27,10 @@
 //!   schedule;
 //! * [`train`] — surrogate-gradient training with the BSA loss and ECP-aware
 //!   evaluation;
-//! * [`runtime`] — the batched multi-core inference serving runtime: bounded
-//!   submission queue, Token-Time-Bundle-aligned dynamic batching, a worker
-//!   pool executing batches on pluggable engines, online submission with
-//!   tickets + admission control, and per-run throughput reports;
+//! * [`runtime`] — the batched multi-core inference serving runtime:
+//!   per-engine scheduling domains (bounded queue, Token-Time-Bundle-aligned
+//!   dynamic batching, a worker pool executing batches on pluggable
+//!   engines), online submission with tickets + admission control;
 //! * [`gateway`] — a zero-dependency HTTP/1.1 + JSON gateway over the online
 //!   runtime: `POST /v1/infer`, Prometheus `/metrics`, `/healthz`, load
 //!   shedding with explicit 429/503;
@@ -89,9 +89,9 @@ pub mod prelude {
     };
     pub use bishop_neuron::{LifConfig, LifNeuron};
     pub use bishop_runtime::{
-        BatchPolicy, BishopServer, BreakerConfig, CalibrationCache, EngineLoadStats,
-        InferenceRequest, InferenceResponse, OnlineConfig, OnlineServer, RetryPolicy,
-        RuntimeConfig, ServeError, ServerHandle, ServingOutcome, ThroughputReport, Ticket,
+        BatchPolicy, BreakerConfig, CalibrationCache, EngineLoadStats, InferenceRequest,
+        InferenceResponse, OnlineConfig, OnlineServer, RetryPolicy, RuntimeConfig, ServeError,
+        ServerHandle, Ticket,
     };
     pub use bishop_spiketensor::{DenseMatrix, SpikeTensor, TensorShape};
     pub use bishop_train::{SpikePatternDataset, SpikingClassifier, Trainer, TrainingConfig};
