@@ -200,10 +200,8 @@ impl<R: Read> RequestReader<R> {
             }
             None => {
                 let content_length = match header_value(&headers, "content-length") {
-                    Some(text) => text
-                        .trim()
-                        .parse::<usize>()
-                        .map_err(|_| ParseError::BadRequest("invalid Content-Length".into()))?,
+                    Some(text) => parse_size(text, 10)
+                        .ok_or_else(|| ParseError::BadRequest("invalid Content-Length".into()))?,
                     None => 0,
                 };
                 if content_length > self.limits.max_body_bytes {
@@ -251,9 +249,8 @@ impl<R: Read> RequestReader<R> {
             let line = std::str::from_utf8(&self.buffer[pos..line_end])
                 .map_err(|_| ParseError::BadRequest("non-UTF-8 chunk size line".into()))?;
             // Chunk extensions (anything after `;`) are legal; ignore them.
-            let size_text = line.split(';').next().unwrap_or(line).trim();
-            let size = usize::from_str_radix(size_text, 16)
-                .map_err(|_| ParseError::BadRequest("invalid chunk size".into()))?;
+            let size = parse_size(line.split(';').next().unwrap_or(line), 16)
+                .ok_or_else(|| ParseError::BadRequest("invalid chunk size".into()))?;
             if body.len().saturating_add(size) > self.limits.max_body_bytes {
                 return Err(ParseError::BodyTooLarge);
             }
@@ -337,6 +334,17 @@ fn find_head_end(buffer: &[u8]) -> Option<usize> {
     buffer.windows(4).position(|w| w == b"\r\n\r\n")
 }
 
+/// A body or chunk size: after trimming, one or more digits of `radix` and
+/// nothing else (RFC 9112 `1*DIGIT` / `1*HEXDIG`) — the sign `str::parse`
+/// and `from_str_radix` would also take is a framing error here.
+fn parse_size(text: &str, radix: u32) -> Option<usize> {
+    let digits = text.trim();
+    if digits.is_empty() || !digits.chars().all(|c| c.is_digit(radix)) {
+        return None;
+    }
+    usize::from_str_radix(digits, radix).ok()
+}
+
 fn header_value<'a>(headers: &'a [(String, String)], name: &str) -> Option<&'a str> {
     headers
         .iter()
@@ -381,8 +389,18 @@ fn parse_head(head: &str) -> Result<Head, ParseError> {
         let (name, value) = line
             .split_once(':')
             .ok_or_else(|| ParseError::BadRequest("malformed header line".into()))?;
-        if name.is_empty() || name.contains(' ') {
+        // RFC 9110 `token`: a name with any other byte (a tab or space
+        // before the colon, say) would pass as an unknown field while
+        // another parser reads it as the framing header it resembles.
+        let token = |b: u8| b.is_ascii_alphanumeric() || b"!#$%&'*+-.^_`|~".contains(&b);
+        if name.is_empty() || !name.bytes().all(token) {
             return Err(ParseError::BadRequest("malformed header name".into()));
+        }
+        // Two Content-Length fields never agree on where the body ends.
+        if name.eq_ignore_ascii_case("content-length")
+            && header_value(&headers, "content-length").is_some()
+        {
+            return Err(ParseError::BadRequest("repeated Content-Length".into()));
         }
         headers.push((name.to_string(), value.trim().to_string()));
     }
@@ -626,6 +644,56 @@ mod tests {
             read_one(b"POST /x HTTP/1.1\r\nTransfer-Encoding: gzip\r\n\r\n"),
             Err(ParseError::Unsupported(_))
         ));
+    }
+
+    #[test]
+    fn framing_fields_are_strict_about_digits_duplicates_and_names() {
+        let bad_request = |raw: &'static [u8]| {
+            let mut reader = RequestReader::new(raw, Limits::default());
+            match reader.read_request() {
+                Err(ParseError::BadRequest(_)) => {}
+                other => panic!(
+                    "expected the typed 400 for {:?}, got {other:?}",
+                    String::from_utf8_lossy(raw)
+                ),
+            }
+            reader
+        };
+        // (a), (b) Sizes are 1*DIGIT / 1*HEXDIG: no sign, no blank.
+        bad_request(b"POST /x HTTP/1.1\r\nContent-Length: +4\r\n\r\nabcd");
+        bad_request(b"POST /x HTTP/1.1\r\nContent-Length:\r\n\r\n");
+        bad_request(
+            b"POST /x HTTP/1.1\r\nTransfer-Encoding: chunked\r\n\r\n+4\r\nabcd\r\n0\r\n\r\n",
+        );
+        // (c) Two Content-Length fields never agree on where the body ends,
+        // even when they carry the same value.
+        bad_request(b"POST /x HTTP/1.1\r\nContent-Length: 4\r\nContent-Length: 0\r\n\r\nabcd");
+        bad_request(b"POST /x HTTP/1.1\r\nContent-Length: 4\r\ncontent-length: 4\r\n\r\nabcd");
+        // (d) A field name that is not a token must not slip past as an
+        // unknown header: here it would turn the body into a second,
+        // smuggled request.
+        let smuggle =
+            b"POST /v1/infer HTTP/1.1\r\nContent-Length\t: 27\r\n\r\nGET /metrics HTTP/1.1\r\n\r\n";
+        assert!(
+            !matches!(bad_request(smuggle).read_request(), Ok(Some(_))),
+            "the bytes after the rejected head are never served as a request"
+        );
+        bad_request(b"GET /x HTTP/1.1\r\nX(y): 1\r\n\r\n");
+
+        // Well-formed framing still parses: leading zeros, either hex case,
+        // a chunk extension after the size, any header-name case.
+        let body_of = |raw: &[u8]| read_one(raw).unwrap().unwrap().body;
+        assert_eq!(
+            body_of(b"POST /x HTTP/1.1\r\ncOnTeNt-LeNgTh: 004\r\n\r\nabcd"),
+            b"abcd"
+        );
+        assert_eq!(
+            body_of(
+                b"POST /x HTTP/1.1\r\nTRANSFER-ENCODING: chunked\r\n\r\n\
+                  A\r\n0123456789\r\na;ext=1\r\nabcdefghij\r\n00\r\n\r\n"
+            ),
+            b"0123456789abcdefghij"
+        );
     }
 
     #[test]

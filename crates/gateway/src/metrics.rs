@@ -1,11 +1,12 @@
-//! Live observability: gateway-side counters plus a Prometheus text-format
-//! (version 0.0.4) renderer combining them with the runtime's counters.
+//! Live observability: the gateway's own HTTP and connection counters,
+//! and the `GET /metrics` body — the runtime's
+//! [export table](bishop_runtime::online::export), which these counters
+//! join as [`EdgeStats`], followed by the obs hub's families.
 
-use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Mutex;
+use std::sync::{Mutex, MutexGuard};
 
 use bishop_obs::ObsHub;
+use bishop_runtime::online::export::{self, EdgeStats};
 use bishop_runtime::OnlineStats;
 use bishop_session::SessionStoreStats;
 
@@ -14,16 +15,7 @@ use bishop_session::SessionStoreStats;
 /// from [`OnlineStats`] at render time.
 #[derive(Debug, Default)]
 pub struct GatewayMetrics {
-    /// Connections the acceptor admitted.
-    connections_accepted: AtomicU64,
-    /// Connections turned away at the concurrency cap.
-    connections_rejected: AtomicU64,
-    /// Connections currently open.
-    connections_active: AtomicU64,
-    /// Responses sent, by HTTP status code.
-    responses_by_status: Mutex<BTreeMap<u16, u64>>,
-    /// Requests that failed to parse (a subset also got an error response).
-    parse_errors: AtomicU64,
+    stats: Mutex<EdgeStats>,
 }
 
 impl GatewayMetrics {
@@ -32,356 +24,70 @@ impl GatewayMetrics {
         Self::default()
     }
 
+    fn stats(&self) -> MutexGuard<'_, EdgeStats> {
+        self.stats.lock().expect("gateway counters lock")
+    }
+
     /// Records an accepted connection; pair with [`Self::connection_closed`].
     pub fn connection_opened(&self) {
-        self.connections_accepted.fetch_add(1, Ordering::Relaxed);
-        self.connections_active.fetch_add(1, Ordering::Relaxed);
+        let mut stats = self.stats();
+        stats.connections_accepted += 1;
+        stats.connections_active += 1;
     }
 
     /// Records a connection turned away at the concurrency cap.
     pub fn connection_rejected(&self) {
-        self.connections_rejected.fetch_add(1, Ordering::Relaxed);
+        self.stats().connections_rejected += 1;
     }
 
     /// Records a closed connection.
     pub fn connection_closed(&self) {
-        self.connections_active.fetch_sub(1, Ordering::Relaxed);
+        self.stats().connections_active -= 1;
     }
 
     /// Currently open connections.
     pub fn active_connections(&self) -> u64 {
-        self.connections_active.load(Ordering::Relaxed)
+        self.stats().connections_active
     }
 
     /// Records one response by status code.
     pub fn response(&self, status: u16) {
-        *self
-            .responses_by_status
-            .lock()
-            .expect("status map lock")
-            .entry(status)
-            .or_insert(0) += 1;
+        *self.stats().responses_by_status.entry(status).or_insert(0) += 1;
     }
 
-    /// Responses sent with the given status so far.
-    pub fn responses_with_status(&self, status: u16) -> u64 {
-        self.responses_by_status
-            .lock()
-            .expect("status map lock")
-            .get(&status)
-            .copied()
-            .unwrap_or(0)
-    }
-
-    /// Records a request that failed to parse.
+    /// Records a request that failed to parse (a subset also got an error
+    /// response).
     pub fn parse_error(&self) {
-        self.parse_errors.fetch_add(1, Ordering::Relaxed);
+        self.stats().parse_errors += 1;
     }
 
-    /// Renders the combined gateway + runtime + observability state in
-    /// Prometheus text format: the gateway's HTTP counters, the runtime's
-    /// scheduling counters, then the obs hub's log-bucketed stage-latency
-    /// histograms (`bishop_stage_seconds`), router decision counters
-    /// (`bishop_router_decisions_total`), SLO compliance/burn gauges
-    /// (`bishop_slo_*`) and profiler self-time totals
-    /// (`bishop_profile_seconds_total`). When a session store's stats are
-    /// provided, the session gauge/counters
-    /// (`bishop_sessions_active`, `bishop_sessions_evicted_total`) ride
-    /// along with the per-engine streamed-event counter
-    /// (`bishop_stream_events_total`).
+    /// Renders `GET /metrics` in Prometheus text format: every family of
+    /// the runtime's export table (these HTTP counters, the scheduling
+    /// counters, the per-engine series and, when a session store's stats
+    /// are provided, the session families), then the obs hub's own —
+    /// stage-latency histograms (`bishop_stage_seconds`, the source of
+    /// truth for latency distributions), router decision counters, SLO
+    /// compliance/burn gauges (`bishop_slo_*`, a pure read of the
+    /// sampler-fed time-series store) and profiler self-time totals.
     pub fn render_prometheus(
         &self,
         runtime: &OnlineStats,
         obs: &ObsHub,
         sessions: Option<&SessionStoreStats>,
     ) -> String {
-        let mut out = String::with_capacity(2048);
-        let mut counter = |name: &str, help: &str, value: f64| {
-            render_metric(&mut out, name, help, "counter", None, value);
+        let edge = self.stats().clone();
+        let snapshot = export::Snapshot {
+            server: runtime,
+            sessions,
+            edge: Some(&edge),
         };
-        counter(
-            "bishop_gateway_connections_accepted_total",
-            "Connections admitted by the acceptor.",
-            self.connections_accepted.load(Ordering::Relaxed) as f64,
-        );
-        counter(
-            "bishop_gateway_connections_rejected_total",
-            "Connections turned away at the concurrency cap.",
-            self.connections_rejected.load(Ordering::Relaxed) as f64,
-        );
-        counter(
-            "bishop_gateway_parse_errors_total",
-            "Requests that failed HTTP parsing or violated size limits.",
-            self.parse_errors.load(Ordering::Relaxed) as f64,
-        );
-
-        {
-            let statuses = self.responses_by_status.lock().expect("status map lock");
-            out.push_str(
-                "# HELP bishop_gateway_http_responses_total Responses sent, by status code.\n\
-                 # TYPE bishop_gateway_http_responses_total counter\n",
-            );
-            for (status, count) in statuses.iter() {
-                out.push_str(&format!(
-                    "bishop_gateway_http_responses_total{{status=\"{status}\"}} {count}\n"
-                ));
-            }
-        }
-
-        render_metric(
-            &mut out,
-            "bishop_gateway_connections_active",
-            "Connections currently open.",
-            "gauge",
-            None,
-            self.connections_active.load(Ordering::Relaxed) as f64,
-        );
-
-        let mut runtime_counter = |name: &str, help: &str, value: f64| {
-            render_metric(&mut out, name, help, "counter", None, value);
-        };
-        runtime_counter(
-            "bishop_runtime_requests_submitted_total",
-            "Requests offered to admission control.",
-            runtime.submitted as f64,
-        );
-        runtime_counter(
-            "bishop_runtime_requests_admitted_total",
-            "Requests admitted into the submission queue.",
-            runtime.admitted as f64,
-        );
-        runtime_counter(
-            "bishop_runtime_requests_completed_total",
-            "Requests whose batch executed successfully.",
-            runtime.completed as f64,
-        );
-        runtime_counter(
-            "bishop_runtime_requests_failed_total",
-            "Requests whose engine refused the batch (typed ServeError).",
-            runtime.failed as f64,
-        );
-        runtime_counter(
-            "bishop_runtime_batches_executed_total",
-            "Batches executed by the worker pool.",
-            runtime.batches_executed as f64,
-        );
-        runtime_counter(
-            "bishop_runtime_simulated_cycles_total",
-            "Total simulated chip-busy cycles.",
-            runtime.total_simulated_cycles as f64,
-        );
-        runtime_counter(
-            "bishop_runtime_simulated_energy_millijoules_total",
-            "Total simulated energy in millijoules.",
-            runtime.total_energy_mj,
-        );
-
-        out.push_str(
-            "# HELP bishop_runtime_requests_shed_total Requests shed by admission control, by reason.\n\
-             # TYPE bishop_runtime_requests_shed_total counter\n",
-        );
-        for (reason, value) in [
-            ("queue_full", runtime.admission.queue_full),
-            ("deadline", runtime.admission.deadline),
-            ("no_engine_meets_deadline", runtime.admission.no_engine),
-            ("engine_unavailable", runtime.admission.unavailable),
-            ("shutdown", runtime.admission.shutdown),
-        ] {
-            out.push_str(&format!(
-                "bishop_runtime_requests_shed_total{{reason=\"{reason}\"}} {value}\n"
-            ));
-        }
-
-        // Queue depth: the global gauge plus one labeled sample per engine
-        // scheduling domain (same metric family).
-        out.push_str(
-            "# HELP bishop_runtime_queue_depth Requests admitted but not yet completed \
-             (unlabeled: all domains; engine label: one scheduling domain).\n\
-             # TYPE bishop_runtime_queue_depth gauge\n",
-        );
-        out.push_str(&format!(
-            "bishop_runtime_queue_depth {}\n",
-            runtime.queue_depth as f64
-        ));
-        for engine in &runtime.engines {
-            out.push_str(&format!(
-                "bishop_runtime_queue_depth{{engine=\"{}\"}} {}\n",
-                engine.engine, engine.queue_depth as f64
-            ));
-        }
-
-        // Per-engine scheduling-domain series.
-        let mut engine_family =
-            |name: &str,
-             help: &str,
-             kind: &str,
-             value: fn(&bishop_runtime::EngineLoadStats) -> f64| {
-                out.push_str(&format!("# HELP {name} {help}\n# TYPE {name} {kind}\n"));
-                for engine in &runtime.engines {
-                    out.push_str(&format!(
-                        "{name}{{engine=\"{}\"}} {}\n",
-                        engine.engine,
-                        value(engine)
-                    ));
-                }
-            };
-        engine_family(
-            "bishop_runtime_batches_total",
-            "Batches executed, by engine scheduling domain.",
-            "counter",
-            |e| e.batches_executed as f64,
-        );
-        engine_family(
-            "bishop_runtime_engine_completed_total",
-            "Requests completed, by engine.",
-            "counter",
-            |e| e.completed as f64,
-        );
-        engine_family(
-            "bishop_runtime_engine_failed_total",
-            "Requests failed with a typed engine refusal, by engine.",
-            "counter",
-            |e| e.failed as f64,
-        );
-        engine_family(
-            "bishop_runtime_drain_ops_per_second",
-            "Calibrated drain rate (EWMA of observed ops/second), by engine.",
-            "gauge",
-            |e| e.drain_ops_per_second,
-        );
-        engine_family(
-            "bishop_breaker_state",
-            "Circuit-breaker state, by engine: 0 = closed, 1 = half-open, 2 = open.",
-            "gauge",
-            |e| e.breaker.state.metric_value() as f64,
-        );
-        engine_family(
-            "bishop_breaker_opened_total",
-            "Circuit-breaker trips since boot, by engine.",
-            "counter",
-            |e| e.breaker.opened_total as f64,
-        );
-        engine_family(
-            "bishop_worker_panics_total",
-            "Engine panics contained by domain workers, by engine.",
-            "counter",
-            |e| e.worker_panics as f64,
-        );
-        engine_family(
-            "bishop_stream_events_total",
-            "Per-step progress events forwarded to streamed tickets, by engine.",
-            "counter",
-            |e| e.stream_events as f64,
-        );
-
-        // Session-slot occupancy and eviction counters, when the gateway
-        // runs a session store.
-        if let Some(stats) = sessions {
-            render_metric(
-                &mut out,
-                "bishop_sessions_active",
-                "Live sessions holding a persistent state slot.",
-                "gauge",
-                None,
-                stats.active as f64,
-            );
-            out.push_str(
-                "# HELP bishop_sessions_evicted_total Sessions evicted, by reason.\n\
-                 # TYPE bishop_sessions_evicted_total counter\n",
-            );
-            for (reason, value) in [
-                ("ttl", stats.evicted_ttl),
-                ("capacity", stats.evicted_capacity),
-                ("explicit", stats.evicted_explicit),
-            ] {
-                out.push_str(&format!(
-                    "bishop_sessions_evicted_total{{reason=\"{reason}\"}} {value}\n"
-                ));
-            }
-        }
-
-        // Retry outcomes, by engine: attempted counts every re-execution,
-        // recovered the batches a retry saved, exhausted the batches that
-        // failed with max_attempts spent, budget_denied the retries the
-        // shared budget refused (outage anti-amplification).
-        out.push_str(
-            "# HELP bishop_retries_total Batch execution retries, by engine and outcome.\n\
-             # TYPE bishop_retries_total counter\n",
-        );
-        for engine in &runtime.engines {
-            for (outcome, value) in [
-                ("attempted", engine.retries_attempted),
-                ("recovered", engine.retries_recovered),
-                ("exhausted", engine.retries_exhausted),
-                ("budget_denied", engine.retry_budget_denied),
-            ] {
-                out.push_str(&format!(
-                    "bishop_retries_total{{engine=\"{}\",outcome=\"{outcome}\"}} {value}\n",
-                    engine.engine
-                ));
-            }
-        }
-
-        // Backlog: like queue depth, the global gauge and the per-domain
-        // labeled samples share one metric family, so aggregations over
-        // either view reconcile.
-        out.push_str(
-            "# HELP bishop_runtime_backlog_ops Estimated dense ops of the admitted backlog \
-             (unlabeled: all domains; engine label: one scheduling domain).\n\
-             # TYPE bishop_runtime_backlog_ops gauge\n",
-        );
-        out.push_str(&format!(
-            "bishop_runtime_backlog_ops {}\n",
-            runtime.backlog_ops as f64
-        ));
-        for engine in &runtime.engines {
-            out.push_str(&format!(
-                "bishop_runtime_backlog_ops{{engine=\"{}\"}} {}\n",
-                engine.engine, engine.backlog_ops as f64
-            ));
-        }
-
-        let mut gauge = |name: &str, help: &str, value: f64| {
-            render_metric(&mut out, name, help, "gauge", None, value);
-        };
-        gauge(
-            "bishop_runtime_mean_latency_seconds",
-            "Mean simulated per-request latency.",
-            runtime.mean_latency_seconds,
-        );
-        gauge(
-            "bishop_runtime_max_latency_seconds",
-            "Worst simulated per-request latency.",
-            runtime.max_latency_seconds,
-        );
-
-        // The source of truth for latency distributions: exact log-bucketed
-        // histograms per (engine, stage), replacing the bounded-window
-        // p50/p95 gauges this endpoint used to export (those summaries
-        // remain on /v1/engines). Router decision counters ride along.
+        let mut out = String::with_capacity(4096);
+        export::render_prometheus(&snapshot, &mut out);
         obs.histograms.render_into(&mut out);
         obs.router.render_into(&mut out);
-        // The temporal layer: SLO compliance/burn (evaluated as a pure
-        // read against the sampler-fed time-series store) and the
-        // profiler's per-stage self-time totals.
         obs.slo.render_into(&mut out, &obs.timeseries);
         obs.profiler.render_into(&mut out);
         out
-    }
-}
-
-fn render_metric(
-    out: &mut String,
-    name: &str,
-    help: &str,
-    kind: &str,
-    label: Option<(&str, &str)>,
-    value: f64,
-) {
-    out.push_str(&format!("# HELP {name} {help}\n# TYPE {name} {kind}\n"));
-    match label {
-        Some((key, val)) => out.push_str(&format!("{name}{{{key}=\"{val}\"}} {value}\n")),
-        None => out.push_str(&format!("{name} {value}\n")),
     }
 }
 

@@ -629,9 +629,10 @@ fn delete_session(path: &str, shared: &Shared) -> Handled {
 /// states so a degraded-but-serving instance is visible at a glance.
 fn healthz(shared: &Shared) -> Response {
     let draining = shared.shutting_down.load(Ordering::Acquire);
-    let engine_stats = shared.runtime.engine_stats();
-    let all_open = !engine_stats.is_empty()
-        && engine_stats
+    let stats = shared.runtime.stats();
+    let all_open = !stats.engines.is_empty()
+        && stats
+            .engines
             .iter()
             .all(|e| e.breaker.state == bishop_runtime::BreakerState::Open);
     let (status, label) = if draining {
@@ -641,7 +642,8 @@ fn healthz(shared: &Shared) -> Response {
     } else {
         (200, "ok")
     };
-    let breakers = engine_stats
+    let breakers = stats
+        .engines
         .iter()
         .map(|e| {
             Json::object(vec![
@@ -654,10 +656,7 @@ fn healthz(shared: &Shared) -> Response {
         status,
         &Json::object(vec![
             ("status", Json::string(label)),
-            (
-                "queue_depth",
-                Json::from_u64(shared.runtime.stats().queue_depth as u64),
-            ),
+            ("queue_depth", Json::from_u64(stats.queue_depth as u64)),
             ("engines", Json::Array(breakers)),
         ]),
     )

@@ -199,6 +199,16 @@ impl EngineCells {
     /// A point-in-time public snapshot.
     pub(crate) fn snapshot(&self) -> EngineLoadStats {
         EngineLoadStats {
+            latency: self.latency.percentiles(),
+            ..self.counters()
+        }
+    }
+
+    /// The snapshot without the latency percentiles (left zeroed): what
+    /// the background sampler takes every sweep, sparing it the window
+    /// lock and sort that only `GET /v1/engines` has a reader for.
+    pub(crate) fn counters(&self) -> EngineLoadStats {
+        EngineLoadStats {
             engine: self.name.clone(),
             queue_depth: self.pending.load(Ordering::Acquire),
             backlog_ops: self.backlog_ops.load(Ordering::Acquire),
@@ -207,7 +217,7 @@ impl EngineCells {
             failed: self.failed.load(Ordering::Acquire),
             drain_ops_per_second: self.drain.ops_per_second(),
             drain_observations: self.drain.observations(),
-            latency: self.latency.percentiles(),
+            latency: LatencyPercentiles::default(),
             breaker: self.breaker.snapshot(),
             worker_panics: self.panics.load(Ordering::Acquire),
             retries_attempted: self.retries_attempted.load(Ordering::Acquire),

@@ -347,6 +347,64 @@ pub(crate) fn log_breaker_transition(obs: &ObsHub, engine: &str, transition: Bre
     );
 }
 
+/// Runs one execution attempt of `batch` with engine panics contained: a
+/// panic is counted and becomes [`EngineError::Panicked`], so batch-mates
+/// resolve to a typed error and the worker keeps draining (the engine is
+/// behind an `Arc` and takes `&self`: no worker-local state can be left
+/// torn). Stamps every traced rider's execute span and feeds the breaker —
+/// health faults only; capability refusals say nothing about the engine.
+/// Returns the outcome, its wall-clock seconds and whether it was a fault.
+fn contained_attempt<T>(
+    batch: &RequestBatch<PendingRequest>,
+    engine_name: &'static str,
+    engine_cells: Option<&EngineCells>,
+    obs: &ObsHub,
+    run: impl FnOnce() -> Result<T, EngineError>,
+) -> (Result<T, EngineError>, f64, bool) {
+    let started = Instant::now();
+    let attempt =
+        std::panic::catch_unwind(std::panic::AssertUnwindSafe(run)).unwrap_or_else(|_| {
+            if let Some(cells) = engine_cells {
+                cells.panics.fetch_add(1, Ordering::AcqRel);
+            }
+            Err(EngineError::Panicked {
+                engine: engine_name,
+            })
+        });
+    let wall_seconds = started.elapsed().as_secs_f64();
+    for pending in &batch.requests {
+        if let Some(trace) = &pending.request.trace {
+            trace.stamp(Stage::EngineExecute);
+        }
+    }
+    let health_fault = attempt.as_ref().is_err_and(|e| e.retryable());
+    if let Some(cells) = engine_cells {
+        if let Some(transition) = cells.breaker.record(health_fault) {
+            log_breaker_transition(obs, engine_name, transition);
+        }
+    }
+    (attempt, wall_seconds, health_fault)
+}
+
+/// Settles one rider of an executed batch: takes it off the backlog and
+/// queue-depth gauges and counts its outcome, on the global cells and then
+/// on its engine's.
+fn settle(cells: &StatsCells, engine: Option<&EngineCells>, estimated_ops: u64, ok: bool) {
+    let global = (
+        &cells.backlog_ops,
+        &cells.pending,
+        &cells.completed,
+        &cells.failed,
+    );
+    let domain = engine.map(|e| (&e.backlog_ops, &e.pending, &e.completed, &e.failed));
+    for (backlog_ops, pending, completed, failed) in [Some(global), domain].into_iter().flatten() {
+        backlog_ops.fetch_sub(estimated_ops, Ordering::AcqRel);
+        pending.fetch_sub(1, Ordering::AcqRel);
+        let outcome = if ok { completed } else { failed };
+        outcome.fetch_add(1, Ordering::AcqRel);
+    }
+}
+
 /// Spawns one domain worker: executes batches on the engine each batch
 /// names — containing engine panics with `catch_unwind` and retrying
 /// retryable faults per the domain's [`RetryPolicy`] — resolves riders'
@@ -380,7 +438,9 @@ fn spawn_worker(
             let stateful = batch_size == 1 && batch.requests[0].request.stateful();
             // Requests naming an unregistered engine ride domain 0 and
             // fail typed below; they are not this engine's to account.
-            let engine_cells = domain_engine.clone().filter(|e| e.name == *batch.engine());
+            let engine_cells = domain_engine
+                .as_deref()
+                .filter(|e| e.name == *batch.engine());
             // Annotate every traced rider with where it executes: the batch
             // span id shared with its batch-mates and the concrete engine.
             // The execute span (worker queue + engine run) is stamped once
@@ -422,30 +482,20 @@ fn spawn_worker(
                         dropped: 0,
                     };
                     attempts = 1;
-                    let started = Instant::now();
                     // One attempt, never retried: step events already
                     // reached the client, and replaying them after a
                     // mid-sequence fault would double-deliver timesteps.
-                    let attempt = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                        engine.execute_streaming(&engine_batch, steps, resume.as_deref(), &mut sink)
-                    }))
-                    .unwrap_or_else(|_| {
-                        if let Some(cells) = &engine_cells {
-                            cells.panics.fetch_add(1, Ordering::AcqRel);
-                        }
-                        Err(EngineError::Panicked {
-                            engine: engine_name,
-                        })
-                    });
-                    wall_seconds = started.elapsed().as_secs_f64();
-                    if let Some(trace) = &request.trace {
-                        trace.stamp(Stage::EngineExecute);
-                    }
-                    let health_fault = attempt.as_ref().is_err_and(|e| e.retryable());
+                    let (attempt, seconds, _) =
+                        contained_attempt(&batch, engine_name, engine_cells, &obs, || {
+                            engine.execute_streaming(
+                                &engine_batch,
+                                steps,
+                                resume.as_deref(),
+                                &mut sink,
+                            )
+                        });
+                    wall_seconds = seconds;
                     if let Some(cells) = &engine_cells {
-                        if let Some(transition) = cells.breaker.record(health_fault) {
-                            log_breaker_transition(&obs, engine_name, transition);
-                        }
                         cells
                             .stream_events
                             .fetch_add(sink.emitted, Ordering::AcqRel);
@@ -475,37 +525,11 @@ fn spawn_worker(
                     let engine_batch = batch.engine_batch(bundle);
                     loop {
                         attempts += 1;
-                        let started = Instant::now();
-                        // Contain engine panics: batch-mates resolve to a
-                        // typed error and the worker keeps draining. The
-                        // engine is behind an `Arc` and takes `&self`, so
-                        // no worker-local state can be left torn.
-                        let attempt =
-                            std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                        let (attempt, seconds, health_fault) =
+                            contained_attempt(&batch, engine_name, engine_cells, &obs, || {
                                 engine.execute(&engine_batch)
-                            }))
-                            .unwrap_or_else(|_| {
-                                if let Some(cells) = &engine_cells {
-                                    cells.panics.fetch_add(1, Ordering::AcqRel);
-                                }
-                                Err(EngineError::Panicked {
-                                    engine: engine_name,
-                                })
                             });
-                        wall_seconds = started.elapsed().as_secs_f64();
-                        for pending in &batch.requests {
-                            if let Some(trace) = &pending.request.trace {
-                                trace.stamp(Stage::EngineExecute);
-                            }
-                        }
-                        // Only health faults feed the breaker; capability
-                        // refusals say nothing about the engine.
-                        let health_fault = attempt.as_ref().is_err_and(|e| e.retryable());
-                        if let Some(cells) = &engine_cells {
-                            if let Some(transition) = cells.breaker.record(health_fault) {
-                                log_breaker_transition(&obs, engine_name, transition);
-                            }
-                        }
+                        wall_seconds = seconds;
                         match attempt {
                             Ok(output) => {
                                 if let Some(cells) = &engine_cells {
@@ -589,18 +613,7 @@ fn spawn_worker(
                             session_state: session_state.clone(),
                             logits: logits.clone(),
                         };
-                        cells
-                            .backlog_ops
-                            .fetch_sub(pending.estimated_ops, Ordering::AcqRel);
-                        cells.pending.fetch_sub(1, Ordering::AcqRel);
-                        cells.completed.fetch_add(1, Ordering::AcqRel);
-                        if let Some(engine) = &engine_cells {
-                            engine
-                                .backlog_ops
-                                .fetch_sub(pending.estimated_ops, Ordering::AcqRel);
-                            engine.pending.fetch_sub(1, Ordering::AcqRel);
-                            engine.completed.fetch_add(1, Ordering::AcqRel);
-                        }
+                        settle(&cells, engine_cells, pending.estimated_ops, true);
                         let _ = pending.completion.send(Ok(response));
                     }
                 }
@@ -618,18 +631,7 @@ fn spawn_worker(
                         ],
                     );
                     for pending in batch.requests {
-                        cells
-                            .backlog_ops
-                            .fetch_sub(pending.estimated_ops, Ordering::AcqRel);
-                        cells.pending.fetch_sub(1, Ordering::AcqRel);
-                        cells.failed.fetch_add(1, Ordering::AcqRel);
-                        if let Some(engine) = &engine_cells {
-                            engine
-                                .backlog_ops
-                                .fetch_sub(pending.estimated_ops, Ordering::AcqRel);
-                            engine.pending.fetch_sub(1, Ordering::AcqRel);
-                            engine.failed.fetch_add(1, Ordering::AcqRel);
-                        }
+                        settle(&cells, engine_cells, pending.estimated_ops, false);
                         let _ = pending.completion.send(Err(error.clone()));
                     }
                 }

@@ -56,6 +56,7 @@ mod breaker;
 mod calibration;
 mod dispatch;
 mod domain;
+pub mod export;
 mod retry;
 mod sampler;
 
@@ -478,6 +479,59 @@ pub(crate) struct StatsCells {
     pub(crate) shutting_down: AtomicBool,
 }
 
+impl StatsCells {
+    /// A point-in-time snapshot around the given per-engine snapshots.
+    fn snapshot(&self, engines: Vec<EngineLoadStats>) -> OnlineStats {
+        let completed = self.completed.load(Ordering::Acquire);
+        let latency_sum = f64::from_bits(self.latency_sum_bits.load(Ordering::Acquire));
+        OnlineStats {
+            submitted: self.submitted.load(Ordering::Acquire),
+            admitted: self.admitted.load(Ordering::Acquire),
+            completed,
+            failed: self.failed.load(Ordering::Acquire),
+            admission: AdmissionStats {
+                queue_full: self.rejected_queue_full.load(Ordering::Acquire),
+                deadline: self.rejected_deadline.load(Ordering::Acquire),
+                no_engine: self.rejected_no_engine.load(Ordering::Acquire),
+                unavailable: self.rejected_unavailable.load(Ordering::Acquire),
+                shutdown: self.rejected_shutdown.load(Ordering::Acquire),
+            },
+            batches_executed: self.batches_executed.load(Ordering::Acquire),
+            queue_depth: self.pending.load(Ordering::Acquire),
+            backlog_ops: self.backlog_ops.load(Ordering::Acquire),
+            total_simulated_cycles: self.total_cycles.load(Ordering::Acquire),
+            total_energy_mj: f64::from_bits(self.energy_mj_bits.load(Ordering::Acquire)),
+            mean_latency_seconds: if completed == 0 {
+                0.0
+            } else {
+                latency_sum / completed as f64
+            },
+            max_latency_seconds: f64::from_bits(self.latency_max_bits.load(Ordering::Acquire)),
+            engines,
+        }
+    }
+
+    /// Moves the queue-depth and backlog gauges by one request, on the
+    /// global cells and then on its engine's (a request naming an
+    /// unregistered engine has none): up when admission charges it, back
+    /// down when its enqueue then fails.
+    fn book(&self, engine: Option<&EngineCells>, estimated_ops: u64, admit: bool) {
+        let domain = engine.map(|engine| (&engine.pending, &engine.backlog_ops));
+        for (pending, backlog_ops) in [Some((&self.pending, &self.backlog_ops)), domain]
+            .into_iter()
+            .flatten()
+        {
+            if admit {
+                pending.fetch_add(1, Ordering::AcqRel);
+                backlog_ops.fetch_add(estimated_ops, Ordering::AcqRel);
+            } else {
+                pending.fetch_sub(1, Ordering::AcqRel);
+                backlog_ops.fetch_sub(estimated_ops, Ordering::AcqRel);
+            }
+        }
+    }
+}
+
 /// A pending claim on one submitted request's outcome.
 #[derive(Debug)]
 pub struct Ticket {
@@ -571,11 +625,22 @@ impl ServerHandle {
         self.submit_inner(request, Some(deadline))
     }
 
-    /// Counts one shed into the event log: a rate-limited structured line
-    /// carrying the request id, the engine it was bound for and the typed
-    /// reason — the at-a-glance operator signal for "why are responses
-    /// 429ing".
-    fn log_shed(&self, request_id: u64, engine: &EngineName, rejection: Rejection) -> Rejection {
+    /// Counts one shed, under its reason, and logs it: a rate-limited
+    /// structured line carrying the request id, the engine it was bound
+    /// for and the typed reason — the at-a-glance operator signal for "why
+    /// are responses 429ing".
+    fn shed(&self, request_id: u64, engine: &EngineName, rejection: Rejection) -> Rejection {
+        let cells = &self.cells;
+        let counter = match rejection {
+            Rejection::QueueFull => &cells.rejected_queue_full,
+            Rejection::DeadlineUnmeetable => &cells.rejected_deadline,
+            Rejection::NoEngineMeetsDeadline | Rejection::NoEngineSupportsRequest => {
+                &cells.rejected_no_engine
+            }
+            Rejection::EngineUnavailable => &cells.rejected_unavailable,
+            Rejection::ShuttingDown => &cells.rejected_shutdown,
+        };
+        counter.fetch_add(1, Ordering::Relaxed);
         self.obs.events.emit(
             EventLevel::Warn,
             "request_shed",
@@ -596,12 +661,10 @@ impl ServerHandle {
         let cells = &self.cells;
         cells.submitted.fetch_add(1, Ordering::Relaxed);
         if cells.shutting_down.load(Ordering::Acquire) {
-            cells.rejected_shutdown.fetch_add(1, Ordering::Relaxed);
-            return Err(self.log_shed(request.id, &request.engine, Rejection::ShuttingDown));
+            return Err(self.shed(request.id, &request.engine, Rejection::ShuttingDown));
         }
         if cells.pending.load(Ordering::Acquire) >= self.max_pending {
-            cells.rejected_queue_full.fetch_add(1, Ordering::Relaxed);
-            return Err(self.log_shed(request.id, &request.engine, Rejection::QueueFull));
+            return Err(self.shed(request.id, &request.engine, Rejection::QueueFull));
         }
 
         let estimated_ops = config_ops(request.model());
@@ -631,15 +694,10 @@ impl ServerHandle {
                     Some(index)
                 }
                 Err(rejection) => {
-                    let counter = match rejection {
-                        Rejection::EngineUnavailable => &cells.rejected_unavailable,
-                        _ => &cells.rejected_no_engine,
-                    };
-                    counter.fetch_add(1, Ordering::Relaxed);
                     if let Some(trace) = &request.trace {
                         trace.stamp(Stage::Router);
                     }
-                    return Err(self.log_shed(request.id, &request.engine, rejection));
+                    return Err(self.shed(request.id, &request.engine, rejection));
                 }
             }
         } else {
@@ -657,8 +715,7 @@ impl ServerHandle {
                     domain::log_breaker_transition(&self.obs, entry.name.as_str(), transition);
                 }
                 if let BreakerAdmit::Shed { .. } = admit {
-                    cells.rejected_unavailable.fetch_add(1, Ordering::Relaxed);
-                    return Err(self.log_shed(
+                    return Err(self.shed(
                         request.id,
                         &request.engine,
                         Rejection::EngineUnavailable,
@@ -693,16 +750,11 @@ impl ServerHandle {
                 ),
             };
             if backlog as f64 / drain.max(1.0) > deadline.as_secs_f64() {
-                cells.rejected_deadline.fetch_add(1, Ordering::Relaxed);
-                return Err(self.log_shed(
-                    request.id,
-                    &request.engine,
-                    Rejection::DeadlineUnmeetable,
-                ));
+                return Err(self.shed(request.id, &request.engine, Rejection::DeadlineUnmeetable));
             }
         }
 
-        let engine_cells = entry_index.map(|index| Arc::clone(&self.engines_index[index].cells));
+        let engine_cells = entry_index.map(|index| &*self.engines_index[index].cells);
         let request_id = request.id;
         let engine_name = request.engine.clone();
         let trace = request.trace.clone();
@@ -719,14 +771,7 @@ impl ServerHandle {
         } else {
             (None, None)
         };
-        cells.pending.fetch_add(1, Ordering::AcqRel);
-        cells.backlog_ops.fetch_add(estimated_ops, Ordering::AcqRel);
-        if let Some(engine) = &engine_cells {
-            engine.pending.fetch_add(1, Ordering::AcqRel);
-            engine
-                .backlog_ops
-                .fetch_add(estimated_ops, Ordering::AcqRel);
-        }
+        cells.book(engine_cells, estimated_ops, true);
         let submission = Submission::Request(Box::new(PendingRequest {
             request,
             completion,
@@ -750,21 +795,8 @@ impl ServerHandle {
                 })
             }
             Err(rejection) => {
-                cells.pending.fetch_sub(1, Ordering::AcqRel);
-                cells.backlog_ops.fetch_sub(estimated_ops, Ordering::AcqRel);
-                if let Some(engine) = &engine_cells {
-                    engine.pending.fetch_sub(1, Ordering::AcqRel);
-                    engine
-                        .backlog_ops
-                        .fetch_sub(estimated_ops, Ordering::AcqRel);
-                }
-                match rejection {
-                    Rejection::QueueFull => {
-                        cells.rejected_queue_full.fetch_add(1, Ordering::Relaxed)
-                    }
-                    _ => cells.rejected_shutdown.fetch_add(1, Ordering::Relaxed),
-                };
-                Err(self.log_shed(request_id, &engine_name, rejection))
+                cells.book(engine_cells, estimated_ops, false);
+                Err(self.shed(request_id, &engine_name, rejection))
             }
         }
     }
@@ -872,34 +904,7 @@ impl ServerHandle {
 
     /// A point-in-time snapshot of the server's counters.
     pub fn stats(&self) -> OnlineStats {
-        let c = &self.cells;
-        let completed = c.completed.load(Ordering::Acquire);
-        let latency_sum = f64::from_bits(c.latency_sum_bits.load(Ordering::Acquire));
-        OnlineStats {
-            submitted: c.submitted.load(Ordering::Acquire),
-            admitted: c.admitted.load(Ordering::Acquire),
-            completed,
-            failed: c.failed.load(Ordering::Acquire),
-            admission: AdmissionStats {
-                queue_full: c.rejected_queue_full.load(Ordering::Acquire),
-                deadline: c.rejected_deadline.load(Ordering::Acquire),
-                no_engine: c.rejected_no_engine.load(Ordering::Acquire),
-                unavailable: c.rejected_unavailable.load(Ordering::Acquire),
-                shutdown: c.rejected_shutdown.load(Ordering::Acquire),
-            },
-            batches_executed: c.batches_executed.load(Ordering::Acquire),
-            queue_depth: c.pending.load(Ordering::Acquire),
-            backlog_ops: c.backlog_ops.load(Ordering::Acquire),
-            total_simulated_cycles: c.total_cycles.load(Ordering::Acquire),
-            total_energy_mj: f64::from_bits(c.energy_mj_bits.load(Ordering::Acquire)),
-            mean_latency_seconds: if completed == 0 {
-                0.0
-            } else {
-                latency_sum / completed as f64
-            },
-            max_latency_seconds: f64::from_bits(c.latency_max_bits.load(Ordering::Acquire)),
-            engines: self.engine_stats(),
-        }
+        self.cells.snapshot(self.engine_stats())
     }
 }
 
@@ -1034,11 +1039,13 @@ impl OnlineServer {
 
         let sessions: Arc<OnceLock<Arc<SessionStore>>> = Arc::new(OnceLock::new());
         let sampler_thread = config.sampler.enabled.then(|| {
+            let cells = Arc::clone(&cells);
+            let counters =
+                move || cells.snapshot(engine_cells.iter().map(|e| e.counters()).collect());
             sampler::spawn_sampler(
                 config.sampler.clone(),
                 Arc::clone(&obs),
-                Arc::clone(&cells),
-                engine_cells,
+                counters,
                 Arc::clone(&sessions),
             )
         });

@@ -5,16 +5,18 @@
 //! (default 10 ms) it sweeps the worker/batcher [stage
 //! slots](bishop_obs::StageSlot) and attributes the elapsed wall-clock to
 //! each thread's published stage. Every *metrics* tick (default 1 s) it
-//! scrapes the server's atomic counters — global admission/outcome
-//! counts, per-engine queue depth / backlog / drain rate / breaker state,
-//! router verdicts — into the [`TimeSeriesStore`](bishop_obs::TimeSeriesStore)
-//! rollups, diffs the stage histograms into windowed p50/p95/p99 gauges,
-//! and re-evaluates the SLO engine (which emits edge-triggered burn-rate
-//! alerts into the event log).
+//! takes one counter snapshot of the server and records every row of the
+//! [export table](super::export) that names a time series — the same rows
+//! `GET /metrics` renders — into the
+//! [`TimeSeriesStore`](bishop_obs::TimeSeriesStore) rollups, adds the three
+//! derived views (shed/finished sums, router verdict totals, windowed
+//! p50/p95/p99 of the stage histograms), and re-evaluates the SLO engine
+//! (which emits edge-triggered burn-rate alerts into the event log).
 //!
-//! Everything the sampler reads is a relaxed atomic load or a short-lived
-//! registry lock, so its steady-state cost is independent of request
-//! throughput — the overhead bar the `obs` bench holds it to.
+//! The snapshot is a few dozen atomic loads and a short-lived registry
+//! lock per engine (no latency-window sort), so the sampler's steady-state
+//! cost is independent of request throughput — the overhead bar the `obs`
+//! bench holds it to.
 
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -25,9 +27,8 @@ use std::time::{Duration, Instant};
 use bishop_obs::{HistogramSnapshot, ObsHub};
 use bishop_session::SessionStore;
 
-use super::breaker::BreakerState;
-use super::calibration::EngineCells;
-use super::StatsCells;
+use super::export::{record_series, Snapshot};
+use super::OnlineStats;
 
 /// Configuration of the background sampler thread.
 #[derive(Debug, Clone)]
@@ -86,12 +87,11 @@ impl SamplerThread {
     }
 }
 
-/// Spawns the sampler thread over the server's shared state.
+/// Spawns the sampler thread; `snapshot` takes the server's counters.
 pub(crate) fn spawn_sampler(
     config: SamplerConfig,
     obs: Arc<ObsHub>,
-    cells: Arc<StatsCells>,
-    engines: Vec<Arc<EngineCells>>,
+    snapshot: impl Fn() -> OnlineStats + Send + 'static,
     sessions: Arc<OnceLock<Arc<SessionStore>>>,
 ) -> SamplerThread {
     let stop = Arc::new(AtomicBool::new(false));
@@ -108,14 +108,14 @@ pub(crate) fn spawn_sampler(
                 .sample(now.duration_since(last_profile).as_secs_f64());
             last_profile = now;
             if now.duration_since(last_metrics) >= config.metrics_interval {
-                scrape(&obs, &cells, &engines, &sessions, &mut histogram_baseline);
+                scrape(&obs, &snapshot(), &sessions, &mut histogram_baseline);
                 obs.slo.evaluate(&obs.timeseries, Some(&obs.events));
                 last_metrics = now;
             }
         }
         // Final scrape: a server shut down inside one metrics interval
         // still lands its counters and a final SLO evaluation.
-        scrape(&obs, &cells, &engines, &sessions, &mut histogram_baseline);
+        scrape(&obs, &snapshot(), &sessions, &mut histogram_baseline);
         obs.slo.evaluate(&obs.timeseries, Some(&obs.events));
     });
     SamplerThread { stop, handle }
@@ -124,104 +124,29 @@ pub(crate) fn spawn_sampler(
 /// One metrics sweep: counters and gauges into the time-series store.
 fn scrape(
     obs: &ObsHub,
-    cells: &StatsCells,
-    engines: &[Arc<EngineCells>],
+    stats: &OnlineStats,
     sessions: &OnceLock<Arc<SessionStore>>,
     histogram_baseline: &mut BTreeMap<(String, &'static str), HistogramSnapshot>,
 ) {
     let ts = &obs.timeseries;
-    let completed = cells.completed.load(Ordering::Acquire);
-    let failed = cells.failed.load(Ordering::Acquire);
-    let shed_queue_full = cells.rejected_queue_full.load(Ordering::Acquire);
-    let shed_deadline = cells.rejected_deadline.load(Ordering::Acquire);
-    let shed_no_engine = cells.rejected_no_engine.load(Ordering::Acquire);
-    let shed_unavailable = cells.rejected_unavailable.load(Ordering::Acquire);
-    let shed_shutdown = cells.rejected_shutdown.load(Ordering::Acquire);
-    let shed_total =
-        shed_queue_full + shed_deadline + shed_no_engine + shed_unavailable + shed_shutdown;
+    // The session store lives at the edge; when a gateway registered it
+    // with this server its counters join the same temporal layer.
+    let sessions = sessions.get().map(|store| store.stats());
+    let snapshot = Snapshot {
+        server: stats,
+        sessions: sessions.as_ref(),
+        edge: None,
+    };
+    record_series(&snapshot, ts);
+
     // Availability counts every user-visible terminal outcome: successes
     // are good; engine failures plus availability sheds (open breaker,
     // shutdown) are bad. Load-management sheds (queue-full, deadline)
     // count against `shed_rate` instead.
-    let errored = failed + shed_unavailable + shed_shutdown;
-
-    ts.record_counter(
-        "requests.submitted",
-        cells.submitted.load(Ordering::Acquire) as f64,
-    );
-    ts.record_counter(
-        "requests.admitted",
-        cells.admitted.load(Ordering::Acquire) as f64,
-    );
-    ts.record_counter("requests.ok", completed as f64);
-    ts.record_counter("requests.failed", failed as f64);
-    ts.record_counter("requests.shed", shed_total as f64);
-    ts.record_counter("requests.finished", (completed + errored) as f64);
-    ts.record_counter(
-        "batches.total",
-        cells.batches_executed.load(Ordering::Acquire) as f64,
-    );
-    ts.record_gauge(
-        "queue_depth.all",
-        cells.pending.load(Ordering::Acquire) as f64,
-    );
-    ts.record_gauge(
-        "backlog_ops.all",
-        cells.backlog_ops.load(Ordering::Acquire) as f64,
-    );
-
-    for engine in engines {
-        let name = engine.name.as_str();
-        ts.record_gauge(
-            &format!("queue_depth.{name}"),
-            engine.pending.load(Ordering::Acquire) as f64,
-        );
-        ts.record_gauge(
-            &format!("backlog_ops.{name}"),
-            engine.backlog_ops.load(Ordering::Acquire) as f64,
-        );
-        ts.record_gauge(
-            &format!("drain_ops_per_second.{name}"),
-            engine.drain.ops_per_second(),
-        );
-        let breaker_level = match engine.breaker.snapshot().state {
-            BreakerState::Closed => 0.0,
-            BreakerState::HalfOpen => 1.0,
-            BreakerState::Open => 2.0,
-        };
-        ts.record_gauge(&format!("breaker_state.{name}"), breaker_level);
-        ts.record_counter(
-            &format!("engine.completed.{name}"),
-            engine.completed.load(Ordering::Acquire) as f64,
-        );
-        ts.record_counter(
-            &format!("engine.failed.{name}"),
-            engine.failed.load(Ordering::Acquire) as f64,
-        );
-        ts.record_counter(
-            &format!("engine.batches.{name}"),
-            engine.batches_executed.load(Ordering::Acquire) as f64,
-        );
-        ts.record_counter(
-            &format!("engine.retries.{name}"),
-            engine.retries_attempted.load(Ordering::Acquire) as f64,
-        );
-        ts.record_counter(
-            &format!("engine.stream_events.{name}"),
-            engine.stream_events.load(Ordering::Acquire) as f64,
-        );
-    }
-
-    // Session-slot occupancy, when a gateway registered its store with
-    // this server (the store lives at the edge; the sampler just reads
-    // its counters into the same temporal layer everything else uses).
-    if let Some(store) = sessions.get() {
-        let stats = store.stats();
-        ts.record_gauge("sessions.active", stats.active as f64);
-        ts.record_counter("sessions.evicted.ttl", stats.evicted_ttl as f64);
-        ts.record_counter("sessions.evicted.capacity", stats.evicted_capacity as f64);
-        ts.record_counter("sessions.evicted.explicit", stats.evicted_explicit as f64);
-    }
+    let shed = &stats.admission;
+    let errored = stats.failed + shed.unavailable + shed.shutdown;
+    ts.record_counter("requests.shed", shed.total() as f64);
+    ts.record_counter("requests.finished", (stats.completed + errored) as f64);
 
     // Router verdicts, as per-verdict totals across engines.
     let mut verdict_totals: BTreeMap<&'static str, u64> = BTreeMap::new();
