@@ -259,11 +259,11 @@ pub fn decode_infer(
     // Capability preflight: any refusal knowable from the request profile
     // alone — ECP on a non-ECP engine, or a model whose own timestep count
     // already exceeds the engine's fold limit — is rejected here, before
-    // the request consumes a queue slot, a batcher pass and a worker
-    // dispatch. (The batcher caps coalescing at the fold limit, so the
-    // only worker-side refusals left are bundle-padding edge cases.) An
-    // "auto" request is routable as long as *some* auto-eligible engine
-    // supports the profile; the runtime dispatcher skips the rest.
+    // the request consumes a queue slot, a batch and a worker. (The domain
+    // queue caps coalescing at the fold limit, so the only worker-side
+    // refusals left are bundle-padding edge cases.) An "auto" request is
+    // routable as long as *some* auto-eligible engine supports the
+    // profile; the runtime dispatcher skips the rest.
     if engine.is_auto() {
         if !auto_candidates
             .iter()

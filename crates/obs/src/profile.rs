@@ -1,6 +1,6 @@
 //! An always-on sampling wall-clock profiler for domain workers.
 //!
-//! Each worker (and batcher) thread publishes its *current stage* to one
+//! Each domain worker thread publishes its *current stage* to one
 //! [`StageSlot`] — a single atomic byte, so publishing costs one relaxed
 //! store and can run on every transition of the hot loop. A background
 //! sampler sweeps the slots at a fixed period and attributes the period to
@@ -24,7 +24,7 @@ use std::sync::{Arc, Mutex};
 pub enum WorkerStage {
     /// Blocked waiting for work.
     Idle = 0,
-    /// Forming or dispatching a batch (batcher threads).
+    /// Closing due batches and taking one, under the domain lock.
     BatchFormation = 1,
     /// Executing a batch on the engine.
     EngineExecute = 2,
@@ -113,8 +113,9 @@ impl WorkerProfiler {
     }
 
     /// Registers one thread's stage slot, starting Idle. `kind` separates
-    /// thread roles under one engine (`"worker"` / `"batcher"`), so an idle
-    /// batcher can't dilute the workers' execute share.
+    /// thread roles under one engine (the runtime registers `"worker"`), so
+    /// an idle thread of another role can't dilute the workers' execute
+    /// share.
     pub fn register(&self, engine: &str, kind: &'static str) -> Arc<StageSlot> {
         let slot = Arc::new(StageSlot::default());
         self.slots
@@ -215,7 +216,7 @@ pub struct ProfileEntry {
     /// Engine the thread serves (`"none"` in the engine-less domain an
     /// empty registry gets).
     pub engine: String,
-    /// Thread role: `"worker"` or `"batcher"`.
+    /// Thread role (`"worker"` for the runtime's domain workers).
     pub kind: &'static str,
     /// Stage label.
     pub stage: &'static str,
@@ -267,7 +268,7 @@ mod tests {
     fn sampling_attributes_self_time_per_engine_kind_and_stage() {
         let profiler = WorkerProfiler::new();
         let worker = profiler.register("native", "worker");
-        let batcher = profiler.register("native", "batcher");
+        let other = profiler.register("native", "other");
 
         worker.set(WorkerStage::EngineExecute);
         for _ in 0..9 {
@@ -281,13 +282,13 @@ mod tests {
         assert!((report.total_seconds - 0.2).abs() < 1e-9);
         assert!((report.fraction("native", "worker", "engine_execute") - 0.9).abs() < 1e-9);
         assert!((report.fraction("native", "worker", "response_fanout") - 0.1).abs() < 1e-9);
-        // The batcher never left Idle and doesn't dilute the worker rows.
-        assert_eq!(report.fraction("native", "batcher", "idle"), 1.0);
-        assert_eq!(batcher.get(), WorkerStage::Idle);
+        // The other role never left Idle and doesn't dilute the worker rows.
+        assert_eq!(report.fraction("native", "other", "idle"), 1.0);
+        assert_eq!(other.get(), WorkerStage::Idle);
 
         let collapsed = report.collapsed();
         assert!(collapsed.contains(&"native/worker;engine_execute 9".to_string()));
-        assert!(collapsed.contains(&"native/batcher;idle 10".to_string()));
+        assert!(collapsed.contains(&"native/other;idle 10".to_string()));
     }
 
     #[test]

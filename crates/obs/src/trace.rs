@@ -2,7 +2,7 @@
 //!
 //! A [`TraceContext`] is allocated once per request at the edge (HTTP
 //! accept) and carried — as an `Arc` — on the request through admission,
-//! the domain batcher and the worker. Each layer calls
+//! the domain queue and the worker. Each layer calls
 //! [`TraceContext::stamp`] when it hands the request onward; the span of a
 //! stage is the interval since the *previous* stamp, so the recorded spans
 //! are monotone and non-overlapping by construction: no layer can produce
@@ -26,9 +26,9 @@ pub enum Stage {
     /// Deadline-aware `"auto"` engine selection (auto requests only).
     Router,
     /// Admission control: queue-depth and deadline checks, backlog
-    /// accounting, the channel send into the scheduling domain.
+    /// accounting.
     Admission,
-    /// Waiting in the domain's bounded channel for the batcher thread.
+    /// Waiting for the domain lock to enter the batch former.
     QueueWait,
     /// Waiting in the batch former for the batch to close (size, timeout
     /// or flush) and be dispatched to a worker.
@@ -107,7 +107,7 @@ struct TraceInner {
 /// request was accepted, and the stage spans recorded along the path.
 ///
 /// Shared as an `Arc` between the connection thread and the runtime's
-/// batcher/worker threads; all mutation goes through one short-lived
+/// worker threads; all mutation goes through one short-lived
 /// mutex (a handful of lock/unlock pairs per request).
 #[derive(Debug)]
 pub struct TraceContext {

@@ -165,18 +165,12 @@ impl<T: Batchable> RequestBatch<T> {
             acc.rotate_left(17) ^ r.request().seed.wrapping_mul(0x9E3779B97F4A7C15)
         })
     }
-
-    /// Analytic estimate of the batch's dense operation count, used by the
-    /// least-loaded dispatch policy. Cheap (no trace synthesis): per block,
-    /// `P1 + P2 + MLP` contribute `T·N·D·(3D + D + 8·D)` accumulations and
-    /// attention contributes `2·T·N²·D`.
-    pub fn estimated_ops(&self, bundle: BundleShape) -> u64 {
-        config_ops(&self.batched_config(bundle))
-    }
 }
 
-/// Analytic dense-operation estimate of one workload configuration; shared
-/// by batch-level dispatch and the admission controller's backlog estimate.
+/// Analytic dense-operation estimate of one workload configuration — the
+/// admission controller's backlog estimate. Cheap (no trace synthesis): per
+/// block, `P1 + P2 + MLP` contribute `T·N·D·(3D + D + 8·D)` accumulations
+/// and attention contributes `2·T·N²·D`.
 pub(crate) fn config_ops(c: &ModelConfig) -> u64 {
     let t = c.timesteps as u64;
     let n = c.tokens as u64;
@@ -229,7 +223,7 @@ impl<T: Batchable> BatchFormer<T> {
     /// Closed keys are removed entirely — the former's footprint is bounded
     /// by the *open* (partially-filled) batches, never by how many distinct
     /// keys it has ever seen. That matters for the long-lived online
-    /// batcher, where the key space (model × options × engine) is
+    /// domain queue, where the key space (model × options × engine) is
     /// client-controlled.
     pub fn push(&mut self, request: T) -> Option<RequestBatch<T>> {
         self.push_capped(request, usize::MAX)
@@ -237,7 +231,7 @@ impl<T: Batchable> BatchFormer<T> {
 
     /// Like [`push`](Self::push), but closes the batch at
     /// `min(policy.max_batch_size, max_batch_size)` requests. The online
-    /// batcher derives the cap from the target engine's folded-timestep
+    /// domain queue derives the cap from the target engine's folded-timestep
     /// limit, so coalescing can never build a batch the engine is known to
     /// refuse (each rider alone being executable).
     pub fn push_capped(&mut self, request: T, max_batch_size: usize) -> Option<RequestBatch<T>> {
@@ -274,7 +268,7 @@ impl<T: Batchable> BatchFormer<T> {
     }
 
     /// Closes the partially-filled batch pending under `key`, if any, and
-    /// forgets the key. Used by the online batcher's size-*or-timeout*
+    /// forgets the key. Used by the online domain queue's size-*or-timeout*
     /// policy: a batch whose oldest member has waited past the timeout is
     /// closed early.
     pub fn close_key(&mut self, key: &BatchKey) -> Option<RequestBatch<T>> {
@@ -424,7 +418,7 @@ mod tests {
     fn closed_keys_are_forgotten_entirely() {
         // Regression: closing a batch used to leave an empty slot (and an
         // insertion-order entry) behind per distinct key — unbounded growth
-        // in a long-lived batcher whose key space clients control.
+        // in a long-lived domain queue whose key space clients control.
         let mut former = BatchFormer::new(BatchPolicy::new(2));
         for i in 0..100u64 {
             // 100 distinct keys via distinct ECP thresholds, two pushes each.
@@ -495,7 +489,8 @@ mod tests {
         let mut former = BatchFormer::new(BatchPolicy::new(4));
         former.push(request(0, "m", 1, SimOptions::baseline()));
         let singles = former.flush();
-        let single_ops = singles[0].estimated_ops(BundleShape::default());
+        let ops = |batch: &RequestBatch| config_ops(&batch.batched_config(BundleShape::default()));
+        let single_ops = ops(&singles[0]);
 
         let mut former = BatchFormer::new(BatchPolicy::new(4));
         let mut closed = None;
@@ -503,6 +498,6 @@ mod tests {
             closed = former.push(request(i, "m", i, SimOptions::baseline()));
         }
         let batch = closed.expect("fourth push fills the batch");
-        assert!(batch.estimated_ops(BundleShape::default()) >= 4 * single_ops);
+        assert!(ops(&batch) >= 4 * single_ops);
     }
 }

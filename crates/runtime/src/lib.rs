@@ -11,16 +11,16 @@
 //! [`OnlineServer`] through [`ServerHandle::try_submit`], which hands back
 //! a [`Ticket`] per request; admission control sheds load with explicit
 //! [`Rejection`]s (queue-depth and deadline based) instead of blocking; and
-//! each engine runs its own **scheduling domain** — a bounded queue, a
-//! batcher and a dedicated worker pool — so substrates never
+//! each engine runs its own **scheduling domain** — a bounded, locked
+//! batch queue and a dedicated worker pool — so substrates never
 //! head-of-line-block each other. The domain's [`BatchFormer`] coalesces
 //! compatible requests — same model, training regime, simulation options
 //! and engine — into [`RequestBatch`]es on a size-or-timeout policy by
 //! folding the batch dimension into the *timestep* axis of the
 //! Token-Time-Bundle stream (spiking attention is per-timestep, so the fold
 //! is cost-exact while weight streaming and pipeline overhead are paid once
-//! per batch); a least-loaded dispatcher shards batches across the domain's
-//! workers, which execute each batch on the
+//! per batch); the domain's idle workers take closed batches oldest first
+//! and execute each on the
 //! [`InferenceEngine`](bishop_engine::InferenceEngine) backend it names
 //! (the cycle-level Bishop simulator by default, the native CPU kernels or
 //! a baseline model on request); workload synthesis is memoized in a shared

@@ -1,13 +1,21 @@
-//! One scheduling domain: a bounded queue, a batcher and a dedicated
-//! worker pool serving one engine.
+//! One scheduling domain: a locked batch former with its ready queue, and
+//! a dedicated worker pool serving one engine.
 //!
 //! Every registered engine gets its own domain, so substrates can never
 //! head-of-line-block each other: a multi-millisecond `native` batch
 //! occupies only the native domain's workers while `simulator` traffic
 //! keeps flowing through its own.
+//!
+//! There is no dispatcher thread. Submitters push riders into the domain's
+//! [`DomainQueue`] under its lock, closing full and timed-out batches onto
+//! the ready queue as they go; idle workers wait on the queue's condvar
+//! (until the oldest open batch comes due), close due batches the same way
+//! and take the oldest ready batch. A stuck worker simply stops taking
+//! work — nothing is ever routed to it.
 
+use std::collections::VecDeque;
 use std::sync::atomic::Ordering;
-use std::sync::{mpsc, Arc};
+use std::sync::{mpsc, Arc, Condvar, Mutex, MutexGuard};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -20,10 +28,10 @@ use crate::request::{InferenceRequest, InferenceResponse};
 use super::breaker::BreakerTransition;
 use super::calibration::{add_f64, max_f64, EngineCells};
 use super::retry::RetryPolicy;
-use super::{ServeError, ServeResult, StatsCells};
+use super::{Rejection, ServeError, ServeResult, StatsCells};
 
-/// One admitted request travelling through a domain batcher: the request
-/// plus its completion channel and cached cost estimate.
+/// One admitted request waiting in a domain: the request plus its
+/// completion channel and cached cost estimate.
 #[derive(Debug)]
 pub(crate) struct PendingRequest {
     pub(crate) request: InferenceRequest,
@@ -62,31 +70,6 @@ impl Batchable for PendingRequest {
     }
 }
 
-/// Messages flowing from handles into a domain's batcher thread.
-pub(crate) enum Submission {
-    Request(Box<PendingRequest>),
-    Flush(mpsc::Sender<()>),
-    Shutdown,
-}
-
-/// The thread half of a running domain, joined at shutdown.
-#[derive(Debug)]
-pub(crate) struct DomainThreads {
-    batcher: JoinHandle<()>,
-    workers: Vec<JoinHandle<()>>,
-}
-
-impl DomainThreads {
-    /// Joins the domain's batcher, then its workers (the batcher dropping
-    /// its batch senders is what lets the workers drain and exit).
-    pub(crate) fn join(self) {
-        let _ = self.batcher.join();
-        for worker in self.workers {
-            let _ = worker.join();
-        }
-    }
-}
-
 /// Everything needed to boot one domain.
 pub(crate) struct DomainSpec {
     /// The engine this domain serves (`None` only for the one engine-less
@@ -94,7 +77,8 @@ pub(crate) struct DomainSpec {
     pub(crate) engine: Option<Arc<EngineCells>>,
     /// Dedicated worker threads.
     pub(crate) workers: usize,
-    /// Capacity of the domain's bounded submission channel.
+    /// Most riders that may wait in the domain (open or ready batches)
+    /// before submissions shed [`Rejection::QueueFull`].
     pub(crate) queue_capacity: usize,
     /// First batch id this domain's former assigns.
     pub(crate) batch_id_base: u64,
@@ -107,7 +91,7 @@ pub(crate) struct DomainSpec {
     pub(crate) batch_timeout: Option<Duration>,
     /// Bundle shape batches are padded to.
     pub(crate) bundle: bishop_bundle::BundleShape,
-    /// Engine resolution for the domain's workers.
+    /// Engine resolution: batch caps at push, execution on the workers.
     pub(crate) registry: Arc<EngineRegistry>,
     /// Global server counters.
     pub(crate) cells: Arc<StatsCells>,
@@ -118,45 +102,43 @@ pub(crate) struct DomainSpec {
     pub(crate) retry: RetryPolicy,
 }
 
-/// Boots one domain: its batcher thread and worker pool, returning the
-/// bounded submission channel every [`ServerHandle`](super::ServerHandle)
-/// clone feeds it through.
-pub(crate) fn spawn_domain(spec: DomainSpec) -> (mpsc::SyncSender<Submission>, DomainThreads) {
-    let (submit_tx, submit_rx) = mpsc::sync_channel::<Submission>(spec.queue_capacity);
+/// Boots one domain: its queue and worker pool, returning the queue every
+/// [`ServerHandle`](super::ServerHandle) clone pushes into and the worker
+/// threads, joined at shutdown.
+pub(crate) fn spawn_domain(spec: DomainSpec) -> (Arc<DomainQueue>, Vec<JoinHandle<()>>) {
+    let queue = Arc::new(DomainQueue {
+        state: Mutex::new(QueueState {
+            former: BatchFormer::with_ids(spec.policy, spec.batch_id_base, spec.batch_id_stride),
+            ages: Vec::new(),
+            ready: VecDeque::new(),
+            waiting: 0,
+            closed: false,
+        }),
+        work: Condvar::new(),
+        capacity: spec.queue_capacity,
+        batch_timeout: spec.batch_timeout,
+        registry: spec.registry,
+        bundle: spec.bundle,
+    });
     // Profiler attribution label: the name of the engine the domain serves.
     let profile_label = spec
         .engine
         .as_ref()
         .map_or("none", |engine| engine.name.as_str());
-    let mut batch_txs = Vec::with_capacity(spec.workers);
-    let mut workers = Vec::with_capacity(spec.workers);
-    for index in 0..spec.workers {
-        let (tx, rx) = mpsc::channel::<RequestBatch<PendingRequest>>();
-        batch_txs.push(tx);
-        workers.push(spawn_worker(
-            index,
-            rx,
-            Arc::clone(&spec.registry),
-            Arc::clone(&spec.cells),
-            spec.engine.clone(),
-            spec.bundle,
-            Arc::clone(&spec.obs),
-            spec.retry.clone(),
-            spec.obs.profiler.register(profile_label, "worker"),
-        ));
-    }
-    let batcher = spawn_batcher(
-        submit_rx,
-        batch_txs,
-        Arc::clone(&spec.registry),
-        spec.policy,
-        spec.batch_timeout,
-        spec.bundle,
-        spec.batch_id_base,
-        spec.batch_id_stride,
-        spec.obs.profiler.register(profile_label, "batcher"),
-    );
-    (submit_tx, DomainThreads { batcher, workers })
+    let workers = (0..spec.workers)
+        .map(|index| {
+            spawn_worker(
+                index,
+                Arc::clone(&queue),
+                Arc::clone(&spec.cells),
+                spec.engine.clone(),
+                Arc::clone(&spec.obs),
+                spec.retry.clone(),
+                spec.obs.profiler.register(profile_label, "worker"),
+            )
+        })
+        .collect();
+    (queue, workers)
 }
 
 /// Most riders one batch may hold for `request`'s engine: the largest count
@@ -182,154 +164,178 @@ fn engine_batch_cap(
         .unwrap_or(usize::MAX)
 }
 
-/// Spawns a domain's batcher thread: drains the domain channel, forms
-/// size-or-timeout batches (capped at the target engine's fold limit), and
-/// dispatches them least-loaded across the domain's own workers.
-#[allow(clippy::too_many_arguments)]
-fn spawn_batcher(
-    submit_rx: mpsc::Receiver<Submission>,
-    batch_txs: Vec<mpsc::Sender<RequestBatch<PendingRequest>>>,
-    registry: Arc<EngineRegistry>,
-    policy: BatchPolicy,
+/// A domain's scheduling state, all behind [`DomainQueue`]'s one lock.
+#[derive(Debug)]
+struct QueueState {
+    former: BatchFormer<PendingRequest>,
+    /// Open keys in arrival order of their oldest member, for the timeout
+    /// policy (tracked only when the domain has one). Entries leave when
+    /// their batch closes.
+    ages: Vec<(Instant, BatchKey)>,
+    /// Closed batches in closing order, waiting for a worker.
+    ready: VecDeque<RequestBatch<PendingRequest>>,
+    /// Riders in open or ready batches (what `queue_capacity` bounds).
+    waiting: usize,
+    /// Set at shutdown: no more pushes; workers exit once `ready` drains.
+    closed: bool,
+}
+
+impl QueueState {
+    /// Moves a closed batch onto the ready queue. Every rider's
+    /// batch-formation span ends here.
+    fn make_ready(&mut self, batch: RequestBatch<PendingRequest>) {
+        for pending in &batch.requests {
+            if let Some(trace) = &pending.request.trace {
+                trace.stamp(Stage::BatchFormation);
+            }
+        }
+        self.ready.push_back(batch);
+    }
+
+    /// Closes every open batch whose oldest member has waited `timeout` by
+    /// `now`, oldest first.
+    fn close_due(&mut self, timeout: Option<Duration>, now: Instant) {
+        let Some(timeout) = timeout else { return };
+        while let Some((opened, _)) = self.ages.first() {
+            if *opened + timeout > now {
+                break;
+            }
+            let (_, key) = self.ages.remove(0);
+            if let Some(batch) = self.former.close_key(&key) {
+                self.make_ready(batch);
+            }
+        }
+    }
+
+    /// Closes every open batch, in first-submission order.
+    fn flush(&mut self) {
+        for batch in self.former.flush() {
+            self.make_ready(batch);
+        }
+        self.ages.clear();
+    }
+}
+
+/// One domain's queue (see the module docs). Submitters and workers both
+/// close due batches, so batch composition depends on arrival order and
+/// timing alone, never on whether a worker is free.
+#[derive(Debug)]
+pub(crate) struct DomainQueue {
+    state: Mutex<QueueState>,
+    /// Signalled when a batch becomes ready, a timed batch opens or the
+    /// queue closes.
+    work: Condvar,
+    capacity: usize,
     batch_timeout: Option<Duration>,
+    registry: Arc<EngineRegistry>,
     bundle: bishop_bundle::BundleShape,
-    batch_id_base: u64,
-    batch_id_stride: u64,
-    stage_slot: Arc<StageSlot>,
-) -> JoinHandle<()> {
-    std::thread::spawn(move || {
-        let workers = batch_txs.len();
-        let mut former =
-            BatchFormer::<PendingRequest>::with_ids(policy, batch_id_base, batch_id_stride);
-        // Open keys in arrival order of their oldest member, for the
-        // timeout policy. Entries leave when their batch closes.
-        let mut ages: Vec<(Instant, BatchKey)> = Vec::new();
-        let mut load = vec![0u64; workers];
-        let dispatch = |batch: RequestBatch<PendingRequest>, load: &mut [u64]| {
-            // The batch just closed: every rider's batch-formation span ends
-            // here (it began when the rider left the queue).
-            for pending in &batch.requests {
-                if let Some(trace) = &pending.request.trace {
-                    trace.stamp(Stage::BatchFormation);
-                }
-            }
-            let target = (0..workers)
-                .min_by_key(|&w| (load[w], w))
-                .expect("at least one worker");
-            load[target] += batch.estimated_ops(bundle);
-            // A worker hanging up mid-shutdown drops the batch; its tickets
-            // resolve to `None` rather than deadlocking.
-            let _ = batch_txs[target].send(batch);
+}
+
+impl DomainQueue {
+    fn lock(&self) -> MutexGuard<'_, QueueState> {
+        self.state.lock().expect("domain queue lock")
+    }
+
+    /// Admits one rider into its batch, or refuses it: typed
+    /// [`Rejection::ShuttingDown`] once the queue closed,
+    /// [`Rejection::QueueFull`] when `queue_capacity` riders already wait.
+    pub(crate) fn push(&self, pending: PendingRequest) -> Result<(), Rejection> {
+        let mut state = self.lock();
+        if state.closed {
+            return Err(Rejection::ShuttingDown);
+        }
+        if state.waiting >= self.capacity {
+            return Err(Rejection::QueueFull);
+        }
+        let now = Instant::now();
+        let ready_before = state.ready.len();
+        state.close_due(self.batch_timeout, now);
+        if let Some(trace) = &pending.request.trace {
+            trace.stamp(Stage::QueueWait);
+        }
+        // Stateful (session/streaming) requests never coalesce — membranes
+        // are per-sequence state — and must not sit in an open group
+        // waiting for batch-mates that can never arrive: cap 1 closes their
+        // singleton batch immediately.
+        let cap = if pending.request().stateful() {
+            1
+        } else {
+            engine_batch_cap(&self.registry, pending.request(), self.bundle)
         };
+        let key = BatchKey::from(pending.request());
+        // A newly opened key starts a timer some idle worker must arm.
+        let opens_timer = self.batch_timeout.is_some() && state.former.pending_count(&key) == 0;
+        state.waiting += 1;
+        if let Some(batch) = state.former.push_capped(pending, cap) {
+            state.ages.retain(|(_, k)| *k != key);
+            state.make_ready(batch);
+        } else if opens_timer {
+            state.ages.push((now, key));
+        }
+        let wake = opens_timer || state.ready.len() > ready_before;
+        drop(state);
+        if wake {
+            self.work.notify_one();
+        }
+        Ok(())
+    }
 
-        'run: loop {
-            // Wait for the next message, or — with a timeout policy and an
-            // open batch — until the oldest open batch comes due. The
-            // profiler sees the blocking wait as idle and everything after
-            // a message (or a timeout tick) lands as batch formation.
-            stage_slot.set(WorkerStage::Idle);
-            let message = match (batch_timeout, ages.first()) {
-                (Some(timeout), Some((opened, _))) => {
-                    let due = *opened + timeout;
-                    match due.checked_duration_since(Instant::now()) {
-                        None => None, // already due: close aged batches below
-                        Some(wait) => match submit_rx.recv_timeout(wait) {
-                            Ok(message) => Some(message),
-                            Err(mpsc::RecvTimeoutError::Timeout) => None,
-                            Err(mpsc::RecvTimeoutError::Disconnected) => break 'run,
-                        },
-                    }
+    /// Blocks until a batch is ready and takes it — closing due batches
+    /// first, and waiting no longer than the oldest open batch's due time —
+    /// or returns `None` once the queue is closed and drained. `stage`
+    /// reads idle while blocked and batch formation while holding the lock.
+    fn take(&self, stage: &StageSlot) -> Option<RequestBatch<PendingRequest>> {
+        let mut state = self.lock();
+        loop {
+            stage.set(WorkerStage::BatchFormation);
+            let now = Instant::now();
+            state.close_due(self.batch_timeout, now);
+            if let Some(batch) = state.ready.pop_front() {
+                state.waiting -= batch.len();
+                // Pass the baton: another idle worker takes the next ready
+                // batch, or re-arms the timer of the oldest open one.
+                if !state.ready.is_empty() || !state.ages.is_empty() {
+                    self.work.notify_one();
                 }
-                _ => match submit_rx.recv() {
-                    Ok(message) => Some(message),
-                    Err(_) => break 'run,
-                },
-            };
-
-            stage_slot.set(WorkerStage::BatchFormation);
-            match message {
-                Some(Submission::Request(pending)) => {
-                    if let Some(trace) = &pending.request.trace {
-                        trace.stamp(Stage::QueueWait);
-                    }
-                    let key = BatchKey::from(pending.request());
-                    // Stateful (session/streaming) requests never coalesce —
-                    // membranes are per-sequence state — and must not sit in
-                    // an open group waiting for batch-mates that can never
-                    // arrive: cap 1 closes their singleton batch immediately.
-                    let cap = if pending.request().stateful() {
-                        1
-                    } else {
-                        engine_batch_cap(&registry, pending.request(), bundle)
-                    };
-                    let newly_opened = former.pending_count(&key) == 0;
-                    match former.push_capped(*pending, cap) {
-                        Some(batch) => {
-                            ages.retain(|(_, k)| *k != key);
-                            dispatch(batch, &mut load);
-                        }
-                        None if newly_opened => ages.push((Instant::now(), key)),
-                        None => {}
-                    }
-                }
-                Some(Submission::Flush(ack)) => {
-                    for batch in former.flush() {
-                        dispatch(batch, &mut load);
-                    }
-                    ages.clear();
-                    let _ = ack.send(());
-                }
-                Some(Submission::Shutdown) => {
-                    // Drain whatever raced in behind the shutdown marker so
-                    // already-admitted requests still get served.
-                    while let Ok(message) = submit_rx.try_recv() {
-                        match message {
-                            Submission::Request(pending) => {
-                                if let Some(trace) = &pending.request.trace {
-                                    trace.stamp(Stage::QueueWait);
-                                }
-                                let cap = if pending.request().stateful() {
-                                    1
-                                } else {
-                                    engine_batch_cap(&registry, pending.request(), bundle)
-                                };
-                                if let Some(batch) = former.push_capped(*pending, cap) {
-                                    dispatch(batch, &mut load);
-                                }
-                            }
-                            Submission::Flush(ack) => {
-                                let _ = ack.send(());
-                            }
-                            Submission::Shutdown => {}
-                        }
-                    }
-                    break 'run;
-                }
-                None => {
-                    // Timeout tick: close every batch whose oldest member
-                    // has waited past the policy timeout.
-                    let timeout = batch_timeout.expect("timeout tick implies a timeout policy");
-                    let now = Instant::now();
-                    while let Some((opened, _)) = ages.first() {
-                        if *opened + timeout > now {
-                            break;
-                        }
-                        let (_, key) = ages.remove(0);
-                        if let Some(batch) = former.close_key(&key) {
-                            dispatch(batch, &mut load);
-                        }
-                    }
-                }
+                return Some(batch);
             }
+            if state.closed {
+                return None;
+            }
+            let due = self
+                .batch_timeout
+                .zip(state.ages.first())
+                .map(|(timeout, (opened, _))| *opened + timeout);
+            stage.set(WorkerStage::Idle);
+            state = match due {
+                Some(due) => {
+                    let wait = due.saturating_duration_since(now);
+                    self.work
+                        .wait_timeout(state, wait)
+                        .expect("domain queue lock")
+                        .0
+                }
+                None => self.work.wait(state).expect("domain queue lock"),
+            };
         }
+    }
 
-        stage_slot.set(WorkerStage::BatchFormation);
-        for batch in former.flush() {
-            dispatch(batch, &mut load);
-        }
-        stage_slot.set(WorkerStage::Idle);
-        // Dropping the senders lets every worker drain its queue and exit.
-    })
+    /// Closes every partially-filled batch onto the ready queue. Does not
+    /// wait for execution.
+    pub(crate) fn flush(&self) {
+        self.lock().flush();
+        self.work.notify_all();
+    }
+
+    /// Refuses further pushes and closes every open batch; the workers
+    /// drain the ready queue and exit.
+    pub(crate) fn shutdown(&self) {
+        let mut state = self.lock();
+        state.closed = true;
+        state.flush();
+        drop(state);
+        self.work.notify_all();
+    }
 }
 
 /// Emits one structured line for a breaker state transition. Opening is an
@@ -405,35 +411,33 @@ fn settle(cells: &StatsCells, engine: Option<&EngineCells>, estimated_ops: u64, 
     }
 }
 
-/// Spawns one domain worker: executes batches on the engine each batch
-/// names — containing engine panics with `catch_unwind` and retrying
+/// Spawns one domain worker: takes ready batches from its domain's queue
+/// and executes them on the engine each batch names — containing engine
+/// panics with `catch_unwind` and retrying
 /// retryable faults per the domain's [`RetryPolicy`] — resolves riders'
 /// tickets, feeds the engine's circuit breaker with every attempt outcome,
 /// and feeds the drain-rate calibration with the measured wall-clock of
 /// every successful attempt.
-#[allow(clippy::too_many_arguments)]
 fn spawn_worker(
     index: usize,
-    batch_rx: mpsc::Receiver<RequestBatch<PendingRequest>>,
-    registry: Arc<EngineRegistry>,
+    queue: Arc<DomainQueue>,
     cells: Arc<StatsCells>,
     domain_engine: Option<Arc<EngineCells>>,
-    bundle: bishop_bundle::BundleShape,
     obs: Arc<ObsHub>,
     retry: RetryPolicy,
     stage_slot: Arc<StageSlot>,
 ) -> JoinHandle<()> {
     std::thread::spawn(move || {
-        // The blocking receive runs with Idle published; each batch body
-        // publishes its stage transitions and restores Idle before the
-        // next receive, so the sampling profiler attributes the worker's
-        // wall-clock to execute / backoff / fan-out correctly.
-        for batch in batch_rx {
+        // `take` publishes Idle while blocked; each batch body publishes
+        // its stage transitions and restores Idle before the next take, so
+        // the sampling profiler attributes the worker's wall-clock to
+        // execute / backoff / fan-out correctly.
+        while let Some(batch) = queue.take(&stage_slot) {
             stage_slot.set(WorkerStage::EngineExecute);
             let batch_size = batch.len();
             let batch_ops: u64 = batch.requests.iter().map(|p| p.estimated_ops).sum();
             // Stateful (session/streaming) requests always form singleton
-            // batches (the batcher caps them at 1); they execute on the
+            // batches (the domain queue caps them at 1); they execute on the
             // engine's streaming path below instead of `execute`.
             let stateful = batch_size == 1 && batch.requests[0].request.stateful();
             // Requests naming an unregistered engine ride domain 0 and
@@ -455,7 +459,7 @@ fn spawn_worker(
 
             let mut attempts: u32 = 0;
             let mut wall_seconds = 0.0;
-            let outcome = match registry.get(batch.engine().as_str()) {
+            let outcome = match queue.registry.get(batch.engine().as_str()) {
                 None => Err(ServeError::UnknownEngine(batch.engine().clone())),
                 Some(engine) if stateful => {
                     let engine_name = engine.descriptor().name;
@@ -522,7 +526,7 @@ fn spawn_worker(
                 }
                 Some(engine) => {
                     let engine_name = engine.descriptor().name;
-                    let engine_batch = batch.engine_batch(bundle);
+                    let engine_batch = batch.engine_batch(queue.bundle);
                     loop {
                         attempts += 1;
                         let (attempt, seconds, health_fault) =

@@ -6,29 +6,32 @@
 //! has been executed.
 //!
 //! ```text
-//!                      ┌► admission ─► domain: simulator ─► batcher ─► workers
-//!  clients ─► dispatch │   control     (bounded queue)      size-or-   (dedicated)
-//!             "auto" → │   shed:        …                   timeout        │
-//!             engine   │   queue/      domain: native   ─► batcher ─► workers
-//!             by       │   deadline    (bounded queue)                    ▼
-//!             deadline └──────────────────────────────────────────► per-ticket
-//!                                                                   completion
+//!                      ┌► admission ─► domain: simulator ──► workers
+//!  clients ─► dispatch │   control     former + ready queue  (dedicated,
+//!             "auto" → │   shed:        …                     pull work)
+//!             engine   │   queue/      domain: native    ──► workers
+//!             by       │   deadline    former + ready queue      ▼
+//!             deadline └──────────────────────────────────► per-ticket
+//!                                                           completion
 //! ```
 //!
 //! **Scheduling domains.** Every registered engine gets its own *domain*: a
-//! bounded queue, a batcher with its own [`BatchFormer`] (capped at that
-//! engine's padded fold limit) and a dedicated worker pool — so substrates
-//! can never head-of-line-block each other (a slow `native` batch occupies
-//! only native workers; `simulator` traffic flows on beside it).
+//! locked queue holding its own [`BatchFormer`](crate::batch::BatchFormer)
+//! (capped at that engine's padded fold limit) and the batches it closed,
+//! and a dedicated worker pool — so substrates can never head-of-line-block
+//! each other (a slow `native` batch occupies only native workers;
+//! `simulator` traffic flows on beside it). The submitting thread forms
+//! batches under the domain lock; an idle worker takes the oldest closed
+//! batch. No thread sits in between.
 //!
 //! **Admission control** sheds load with explicit [`Rejection`]s instead of
 //! blocking: a request is rejected when the pending count reaches
-//! `max_pending` (queue-depth shedding), when its domain's bounded channel
-//! is full, or when its deadline cannot be met given the *domain's* admitted
-//! backlog drained at the engine's **calibrated rate** — an online EWMA of
-//! observed ops/second per engine, seeded from the engine descriptor and fed
-//! back from every worker completion. A shed request costs the caller a few
-//! atomic reads — it never touches a batcher.
+//! `max_pending` (queue-depth shedding), when `queue_capacity` riders
+//! already wait in its domain, or when its deadline cannot be met given the
+//! *domain's* admitted backlog drained at the engine's **calibrated rate** —
+//! an online EWMA of observed ops/second per engine, seeded from the engine
+//! descriptor and fed back from every worker completion. A shed request
+//! costs the caller a few atomic reads — it never takes a domain lock.
 //!
 //! **Autoselection.** A request naming [`EngineName::auto`] is routed by the
 //! dispatcher to the most-preferred engine whose *predicted completion*
@@ -39,10 +42,12 @@
 //!
 //! **Batching** follows a size-*or-timeout* policy per domain: a batch
 //! closes as soon as `max_batch_size` compatible requests arrived, or when
-//! its oldest member has waited `batch_timeout`. With `batch_timeout: None`
-//! batches close only on size or an explicit [`ServerHandle::flush`] — the
-//! timing-free mode in which batch formation depends on submission order
-//! alone (what the determinism suite replays traces through).
+//! its oldest member has waited `batch_timeout` (closed by whichever comes
+//! first: the domain's next submission or an idle worker's timer). With
+//! `batch_timeout: None` batches close only on size or an explicit
+//! [`ServerHandle::flush`] — the timing-free mode in which batch formation
+//! depends on submission order alone (what the determinism suite replays
+//! traces through).
 //! Batch ids are strided across domains (domain *i* of *n* assigns ids
 //! `i, i+n, i+2n, …`), keeping them globally unique and deterministic.
 //!
@@ -69,6 +74,7 @@ use breaker::BreakerAdmit;
 
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{mpsc, Arc, OnceLock};
+use std::thread::JoinHandle;
 use std::time::Duration;
 
 use bishop_core::BishopConfig;
@@ -85,11 +91,7 @@ use crate::request::{InferenceRequest, InferenceResponse};
 
 use calibration::EngineCells;
 use dispatch::EngineEntry;
-use domain::{spawn_domain, DomainSpec, DomainThreads, PendingRequest, Submission};
-
-// Referenced by the module docs above.
-#[allow(unused_imports)]
-use crate::batch::BatchFormer;
+use domain::{spawn_domain, DomainQueue, DomainSpec, PendingRequest};
 
 /// The drain rate (dense ops per second) assumed for requests naming an
 /// engine the registry does not hold: they fail typed after dispatch, but
@@ -137,7 +139,8 @@ pub struct RuntimeConfig {
     /// Number of worker threads; each models one execution-substrate
     /// instance.
     pub workers: usize,
-    /// Capacity of the bounded submission queue (a full queue sheds —
+    /// Most riders that may wait in one domain's queue, in open or closed
+    /// batches not yet taken by a worker (a full queue sheds —
     /// backpressure instead of unbounded memory growth).
     pub queue_capacity: usize,
     /// Batch-former policy.
@@ -337,7 +340,7 @@ impl Default for OnlineConfig {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Rejection {
     /// The admitted-but-uncompleted count reached `max_pending`, or the
-    /// target domain's bounded submission channel was full.
+    /// target domain's queue already held `queue_capacity` riders.
     QueueFull,
     /// The admitted backlog of the named engine's domain is predicted to
     /// outlast the request's deadline.
@@ -586,10 +589,10 @@ impl Ticket {
 /// A cloneable, thread-safe submission endpoint of an [`OnlineServer`].
 #[derive(Debug, Clone)]
 pub struct ServerHandle {
-    /// One bounded channel per scheduling domain. Domain `i` serves
+    /// One queue per scheduling domain. Domain `i` serves
     /// `engines_index[i]`; requests naming an engine the registry does not
     /// hold ride domain 0 and fail typed on its worker.
-    domains: Arc<Vec<mpsc::SyncSender<Submission>>>,
+    domains: Arc<Vec<Arc<DomainQueue>>>,
     engines_index: Arc<Vec<EngineEntry>>,
     /// Indices into `engines_index`, most-preferred first, that `"auto"`
     /// requests resolve against.
@@ -606,7 +609,7 @@ pub struct ServerHandle {
 
 impl ServerHandle {
     /// Submits a request without a deadline; sheds (never blocks) when the
-    /// queue-depth cap or the target domain's bounded channel is full.
+    /// queue-depth cap or the target domain's queue is full.
     pub fn try_submit(&self, request: InferenceRequest) -> Result<Ticket, Rejection> {
         self.submit_inner(request, None)
     }
@@ -772,18 +775,12 @@ impl ServerHandle {
             (None, None)
         };
         cells.book(engine_cells, estimated_ops, true);
-        let submission = Submission::Request(Box::new(PendingRequest {
+        let outcome = self.domains[entry_index.unwrap_or(0)].push(PendingRequest {
             request,
             completion,
             estimated_ops,
             progress: progress_tx,
-        }));
-        let outcome = self.domains[entry_index.unwrap_or(0)]
-            .try_send(submission)
-            .map_err(|error| match error {
-                mpsc::TrySendError::Full(_) => Rejection::QueueFull,
-                mpsc::TrySendError::Disconnected(_) => Rejection::ShuttingDown,
-            });
+        });
         match outcome {
             Ok(()) => {
                 cells.admitted.fetch_add(1, Ordering::Relaxed);
@@ -801,20 +798,12 @@ impl ServerHandle {
         }
     }
 
-    /// Closes every partially-filled batch in every domain and waits until
-    /// the batchers have dispatched them. Does not wait for execution — use
-    /// the tickets.
+    /// Closes every partially-filled batch in every domain, handing each
+    /// to the domain's workers. Does not wait for execution — use the
+    /// tickets.
     pub fn flush(&self) {
-        let acks: Vec<mpsc::Receiver<()>> = self
-            .domains
-            .iter()
-            .filter_map(|domain| {
-                let (ack_tx, ack_rx) = mpsc::channel();
-                domain.send(Submission::Flush(ack_tx)).ok().map(|()| ack_rx)
-            })
-            .collect();
-        for ack in acks {
-            let _ = ack.recv();
+        for domain in self.domains.iter() {
+            domain.flush();
         }
     }
 
@@ -908,14 +897,14 @@ impl ServerHandle {
     }
 }
 
-/// The always-on serving stack: per-engine scheduling domains (bounded
-/// queue + batcher + dedicated workers each) over a pluggable engine
+/// The always-on serving stack: per-engine scheduling domains (a bounded
+/// batch queue + dedicated workers each) over a pluggable engine
 /// registry, fed through cloneable [`ServerHandle`]s with deadline-aware
 /// `"auto"` dispatch.
 #[derive(Debug)]
 pub struct OnlineServer {
     handle: ServerHandle,
-    domains: Vec<DomainThreads>,
+    workers: Vec<JoinHandle<()>>,
     sampler: Option<sampler::SamplerThread>,
 }
 
@@ -1005,8 +994,8 @@ impl OnlineServer {
             .collect();
 
         let domain_count = engines_index.len().max(1);
-        let mut submitters = Vec::with_capacity(domain_count);
-        let mut domain_threads = Vec::with_capacity(domain_count);
+        let mut queues = Vec::with_capacity(domain_count);
+        let mut all_workers = Vec::new();
         for domain in 0..domain_count {
             let engine = engine_cells.get(domain).cloned();
             let workers = engine
@@ -1019,7 +1008,7 @@ impl OnlineServer {
                         .map(|(_, workers)| *workers)
                 })
                 .unwrap_or(config.runtime.workers);
-            let (submitter, threads) = spawn_domain(DomainSpec {
+            let (queue, domain_workers) = spawn_domain(DomainSpec {
                 engine,
                 workers: workers.max(1),
                 queue_capacity: config.runtime.queue_capacity,
@@ -1033,8 +1022,8 @@ impl OnlineServer {
                 obs: Arc::clone(&obs),
                 retry: config.retry.clone(),
             });
-            submitters.push(submitter);
-            domain_threads.push(threads);
+            queues.push(queue);
+            all_workers.extend(domain_workers);
         }
 
         let sessions: Arc<OnceLock<Arc<SessionStore>>> = Arc::new(OnceLock::new());
@@ -1050,7 +1039,7 @@ impl OnlineServer {
             )
         });
         let handle = ServerHandle {
-            domains: Arc::new(submitters),
+            domains: Arc::new(queues),
             engines_index: Arc::new(engines_index),
             auto_order: Arc::new(auto_order),
             cells,
@@ -1061,7 +1050,7 @@ impl OnlineServer {
         };
         Self {
             handle,
-            domains: domain_threads,
+            workers: all_workers,
             sampler: sampler_thread,
         }
     }
@@ -1081,8 +1070,8 @@ impl OnlineServer {
         self.handle.stats()
     }
 
-    /// Graceful shutdown: stop admitting, drain already-admitted requests,
-    /// execute their batches, join every domain's threads, and report final
+    /// Graceful shutdown: stop admitting, close every open batch, let the
+    /// workers execute every ready batch, join them, and report final
     /// stats.
     pub fn shutdown(self) -> OnlineStats {
         self.handle
@@ -1090,10 +1079,10 @@ impl OnlineServer {
             .shutting_down
             .store(true, Ordering::Release);
         for domain in self.handle.domains.iter() {
-            let _ = domain.send(Submission::Shutdown);
+            domain.shutdown();
         }
-        for threads in self.domains {
-            threads.join();
+        for worker in self.workers {
+            let _ = worker.join();
         }
         // Stop the sampler after the domains drain so its final scrape
         // sees the fully settled counters.
@@ -1250,7 +1239,7 @@ mod tests {
     }
 
     #[test]
-    fn batcher_caps_coalescing_at_the_engine_fold_limit() {
+    fn domain_caps_coalescing_at_the_engine_fold_limit() {
         // The native engine caps batches at 1024 folded timesteps. A model
         // spanning 300 timesteps may share a batch with at most 3 peers
         // (3 × 300 ≤ 1024 < 4 × 300) even under a much larger batch policy

@@ -2,7 +2,7 @@
 //! the obs hub's temporal layer.
 //!
 //! The thread runs two cadences off one loop. Every *profile* tick
-//! (default 10 ms) it sweeps the worker/batcher [stage
+//! (default 10 ms) it sweeps the domain workers' [stage
 //! slots](bishop_obs::StageSlot) and attributes the elapsed wall-clock to
 //! each thread's published stage. Every *metrics* tick (default 1 s) it
 //! takes one counter snapshot of the server and records every row of the

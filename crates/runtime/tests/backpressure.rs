@@ -2,6 +2,7 @@
 //! queue: a full queue must *reject* (never deadlock or block the caller),
 //! and every shed request must be accounted for in the serving outcome.
 
+use std::sync::Arc;
 use std::time::Duration;
 
 use bishop_engine::EngineName;
@@ -125,4 +126,72 @@ fn flush_closes_partial_batches() {
         assert_eq!(response.batch_size, 3);
     }
     server.shutdown();
+}
+
+#[test]
+fn submitters_racing_shutdown_lose_no_ticket() {
+    let server = OnlineServer::start(
+        OnlineConfig::new(RuntimeConfig::new(2, BatchPolicy::new(4)))
+            .with_batch_timeout(Some(Duration::from_millis(1))),
+    );
+    let handle = server.handle();
+    let models = Arc::new(default_mixed_models());
+    let submitters: Vec<_> = (0..4)
+        .map(|_| {
+            let handle = server.handle();
+            let models = Arc::clone(&models);
+            std::thread::spawn(move || {
+                mixed_trace(&models, 200, 1, 7)
+                    .into_iter()
+                    .filter_map(|request| handle.try_submit(request).ok())
+                    .collect::<Vec<Ticket>>()
+            })
+        })
+        .collect();
+    // Shut down part-way through the submission storm.
+    while handle.stats().submitted < 200 {
+        std::thread::yield_now();
+    }
+    server.shutdown();
+
+    for submitter in submitters {
+        for ticket in submitter.join().expect("submitter thread") {
+            ticket
+                .wait()
+                .expect("every admitted ticket resolves")
+                .expect("simulator engine executes every batch");
+        }
+    }
+    let stats = handle.stats();
+    assert_eq!(stats.submitted, 800);
+    assert_eq!(stats.failed, 0);
+    assert_eq!(stats.completed + stats.admission.total(), stats.submitted);
+    assert_eq!(stats.queue_depth, 0);
+    assert_eq!(stats.backlog_ops, 0);
+}
+
+#[test]
+fn queue_capacity_bounds_riders_waiting_in_the_domain() {
+    // `max_pending` has room, but one rider waiting in an open batch fills
+    // a capacity-1 domain.
+    let server = OnlineServer::start(
+        OnlineConfig::new(RuntimeConfig::new(1, BatchPolicy::new(4)).with_queue_capacity(1))
+            .with_batch_timeout(None),
+    );
+    let handle = server.handle();
+    let mut trace = mixed_trace(&[default_mixed_models().remove(0)], 3, 1, 41).into_iter();
+    let first = handle.try_submit(trace.next().unwrap()).expect("admitted");
+    assert_eq!(
+        handle.try_submit(trace.next().unwrap()).err(),
+        Some(Rejection::QueueFull)
+    );
+    handle.flush();
+    first.wait().expect("resolves").expect("executes");
+    // The worker took the batch, freeing the slot.
+    let third = handle.try_submit(trace.next().unwrap()).expect("admitted");
+    handle.flush();
+    third.wait().expect("resolves").expect("executes");
+    let stats = server.shutdown();
+    assert_eq!(stats.admission.queue_full, 1);
+    assert_eq!(stats.completed, 2);
 }

@@ -6,12 +6,17 @@
 //! `simulator` requests starve behind them — and asserts the per-engine
 //! domains prevent it. The autoselection tests pin the dispatch policy: a
 //! tight deadline degrades to the fast engine, a loose one gets real
-//! execution, and an impossible one sheds typed.
+//! execution, and an impossible one sheds typed. The pull tests pin how a
+//! domain's workers share its batches: a stalled worker is never handed
+//! more work, and the batch timeout closes batches even while every worker
+//! is busy.
 
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use bishop_engine::EngineName;
+use bishop_core::{BishopConfig, BishopSimulator};
+use bishop_engine::{EngineName, EngineRegistry, SimulatorEngine};
+use bishop_faults::{FaultInjectingEngine, FaultPlan};
 use bishop_runtime::{
     default_mixed_models, BatchPolicy, InferenceRequest, OnlineConfig, OnlineServer, Rejection,
     RuntimeConfig, Ticket,
@@ -261,5 +266,85 @@ fn domain_worker_overrides_size_each_pool_independently() {
             response.worker
         );
     }
+    server.shutdown();
+}
+
+/// A simulator-only registry whose engine sleeps `delay` inside its first
+/// execute call, plus the wrapper (to watch its call count).
+fn first_call_delayed(delay: Duration) -> (Arc<EngineRegistry>, Arc<FaultInjectingEngine>) {
+    let simulator = Arc::new(SimulatorEngine::new(BishopSimulator::new(
+        BishopConfig::default(),
+    )));
+    let injector = Arc::new(FaultInjectingEngine::new(
+        simulator,
+        FaultPlan::new().delay_at(0, delay),
+    ));
+    let registry = EngineRegistry::new().with_engine(Arc::clone(&injector) as _);
+    (Arc::new(registry), injector)
+}
+
+#[test]
+fn a_stalled_worker_is_not_handed_more_work() {
+    // Two workers, singleton batches of equal cost, and a first batch that
+    // stalls its worker for 600 ms. Later batches must flow through the
+    // idle worker: C resolves while A is still executing.
+    let (registry, injector) = first_call_delayed(Duration::from_millis(600));
+    let server = OnlineServer::start(
+        OnlineConfig::new(RuntimeConfig::new(2, BatchPolicy::new(1))).with_registry(registry),
+    );
+    let handle = server.handle();
+    let entry = baseline_entry();
+    let submit = |id: u64| {
+        handle
+            .try_submit(InferenceRequest::new(id, Arc::clone(&entry), id))
+            .expect("admitted")
+    };
+
+    let a = submit(0);
+    // A must be the delayed call 0 before B can race it to the engine.
+    while injector.calls() == 0 {
+        std::thread::sleep(Duration::from_millis(1));
+    }
+    let b = submit(1);
+    b.wait().expect("B resolves").expect("B executes");
+    let c = submit(2);
+    c.wait().expect("C resolves").expect("C executes");
+    assert!(
+        a.try_wait().is_none(),
+        "C queued behind the stalled worker instead of taking the idle one"
+    );
+    a.wait().expect("A resolves").expect("A executes");
+    let stats = server.shutdown();
+    assert_eq!(stats.completed, 3);
+}
+
+#[test]
+fn batch_timeout_closes_batches_while_every_worker_is_busy() {
+    // One worker, stuck 300 ms on A's batch. B and C are compatible and
+    // arrive 20 ms apart, each past the other's 5 ms timeout: they must
+    // ride separate singleton batches, not coalesce when the worker frees.
+    let (registry, _) = first_call_delayed(Duration::from_millis(300));
+    let server = OnlineServer::start(
+        OnlineConfig::new(RuntimeConfig::new(1, BatchPolicy::new(4)))
+            .with_batch_timeout(Some(Duration::from_millis(5)))
+            .with_registry(registry),
+    );
+    let handle = server.handle();
+    let entry = baseline_entry();
+    let submit = |id: u64| {
+        handle
+            .try_submit(InferenceRequest::new(id, Arc::clone(&entry), id))
+            .expect("admitted")
+    };
+
+    let a = submit(0);
+    std::thread::sleep(Duration::from_millis(20));
+    let b = submit(1);
+    std::thread::sleep(Duration::from_millis(20));
+    let c = submit(2);
+    let [a, b, c] = [a, b, c].map(|t| t.wait().expect("resolves").expect("executes"));
+    assert_eq!(a.batch_size, 1);
+    assert_eq!((b.batch_size, c.batch_size), (1, 1));
+    assert_ne!(b.batch_id, c.batch_id);
     server.shutdown();
 }
