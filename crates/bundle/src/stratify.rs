@@ -99,40 +99,43 @@ impl Stratifier {
         self.stratify_tags(tensor, &tags)
     }
 
-    /// Runs Algorithm 1 from pre-computed tags.
+    /// Runs Algorithm 1 from pre-computed tags of `tensor`.
     pub fn stratify_tags(&self, tensor: &SpikeTensor, tags: &TtbTags) -> StratifiedWorkload {
-        let features = tensor.shape().features;
-        let active_per_feature = tags.active_per_feature();
-        let spikes_per_feature = tensor.per_feature_counts();
+        debug_assert_eq!(tensor.shape(), tags.grid().tensor_shape());
+        self.partition(&tags.active_per_feature(), &tags.spikes_per_feature())
+    }
 
-        let mut dense_features = Vec::new();
-        let mut sparse_features = Vec::new();
-        let mut dense_active_bundles = 0;
-        let mut sparse_active_bundles = 0;
-        let mut dense_spikes = 0;
-        let mut sparse_spikes = 0;
-
-        for d in 0..features {
-            if active_per_feature[d] > self.threshold {
-                dense_features.push(d);
-                dense_active_bundles += active_per_feature[d];
-                dense_spikes += spikes_per_feature[d];
+    /// Runs Algorithm 1 from per-feature counts: `active[d]` active bundles
+    /// and `spikes[d]` spikes of feature `d` (as produced by
+    /// [`TtbTags::active_per_feature`] and [`TtbTags::spikes_per_feature`]).
+    /// Both feature lists come out in ascending order.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the two slices differ in length.
+    pub fn partition(&self, active: &[usize], spikes: &[usize]) -> StratifiedWorkload {
+        assert_eq!(active.len(), spikes.len(), "one count of each per feature");
+        let mut split = StratifiedWorkload {
+            dense_features: Vec::new(),
+            sparse_features: Vec::new(),
+            dense_active_bundles: 0,
+            sparse_active_bundles: 0,
+            dense_spikes: 0,
+            sparse_spikes: 0,
+            threshold: self.threshold,
+        };
+        for (d, (&active, &spikes)) in active.iter().zip(spikes).enumerate() {
+            if active > self.threshold {
+                split.dense_features.push(d);
+                split.dense_active_bundles += active;
+                split.dense_spikes += spikes;
             } else {
-                sparse_features.push(d);
-                sparse_active_bundles += active_per_feature[d];
-                sparse_spikes += spikes_per_feature[d];
+                split.sparse_features.push(d);
+                split.sparse_active_bundles += active;
+                split.sparse_spikes += spikes;
             }
         }
-
-        StratifiedWorkload {
-            dense_features,
-            sparse_features,
-            dense_active_bundles,
-            sparse_active_bundles,
-            dense_spikes,
-            sparse_spikes,
-            threshold: self.threshold,
-        }
+        split
     }
 
     /// Picks the smallest threshold whose stratification routes at most

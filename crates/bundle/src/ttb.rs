@@ -231,11 +231,25 @@ impl TtbTags {
 
     /// Number of active bundles per feature column, in feature order.
     pub fn active_per_feature(&self) -> Vec<usize> {
+        self.sum_per_feature(|tag| usize::from(tag > 0))
+    }
+
+    /// Number of spikes per feature column, in feature order: the sum of the
+    /// feature's tags. Equal to [`SpikeTensor::per_feature_counts`] of the
+    /// tagged tensor, because every spike lies in exactly one bundle.
+    pub fn spikes_per_feature(&self) -> Vec<usize> {
+        self.sum_per_feature(|tag| tag as usize)
+    }
+
+    /// Per-feature sums of `term(tag)`, one bundle at a time: a bundle's
+    /// tags are `features` consecutive entries, so each adds element-wise
+    /// onto the counts.
+    fn sum_per_feature(&self, term: impl Fn(u32) -> usize) -> Vec<usize> {
         let features = self.grid.tensor_shape().features;
         let mut counts = vec![0usize; features];
-        for (i, &tag) in self.tags.iter().enumerate() {
-            if tag > 0 {
-                counts[i % features] += 1;
+        for bundle in self.tags.chunks_exact(features) {
+            for (count, &tag) in counts.iter_mut().zip(bundle) {
+                *count += term(tag);
             }
         }
         counts
@@ -360,6 +374,7 @@ mod tests {
     fn per_feature_and_silent_counts() {
         let tags = TtbTags::from_tensor(&sample_tensor(), BundleShape::new(2, 4));
         assert_eq!(tags.active_per_feature(), vec![1, 1]);
+        assert_eq!(tags.spikes_per_feature(), vec![2, 1]);
         assert_eq!(tags.silent_features(), 0);
         assert_eq!(tags.active_for_feature(0), 1);
 

@@ -2,10 +2,12 @@
 //! tagging, sparsity loss, ECP row filtering and error accounting) must be
 //! bit-for-bit identical to the retained scalar `*_reference`
 //! implementations, including on feature widths that are not a multiple
-//! of 64.
+//! of 64. The stratifier's per-feature counts, read off the tags in one
+//! pass, must equal the per-feature walks they replace.
 
 use bishop_bundle::{
-    bundle_sparsity_loss, bundle_sparsity_loss_reference, ecp, BundleShape, EcpConfig, TtbTags,
+    bundle_sparsity_loss, bundle_sparsity_loss_reference, ecp, BundleShape, EcpConfig,
+    StratifiedWorkload, Stratifier, TtbTags,
 };
 use bishop_spiketensor::{SpikeTensor, TensorShape};
 use proptest::prelude::*;
@@ -17,8 +19,64 @@ fn random_tensor(shape: TensorShape, density: f64, seed: u64) -> SpikeTensor {
     SpikeTensor::from_fn(shape, |_, _, _| rng.gen_bool(density))
 }
 
+/// Algorithm 1 as a per-feature walk over the tensor and the tags.
+fn reference_split(tensor: &SpikeTensor, tags: &TtbTags, threshold: usize) -> StratifiedWorkload {
+    let mut split = StratifiedWorkload {
+        dense_features: Vec::new(),
+        sparse_features: Vec::new(),
+        dense_active_bundles: 0,
+        sparse_active_bundles: 0,
+        dense_spikes: 0,
+        sparse_spikes: 0,
+        threshold,
+    };
+    for d in 0..tensor.shape().features {
+        let active = tags.active_for_feature(d);
+        let spikes = tensor.feature_count(d);
+        if active > threshold {
+            split.dense_features.push(d);
+            split.dense_active_bundles += active;
+            split.dense_spikes += spikes;
+        } else {
+            split.sparse_features.push(d);
+            split.sparse_active_bundles += active;
+            split.sparse_spikes += spikes;
+        }
+    }
+    split
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
+
+    #[test]
+    fn stratifier_counts_match_per_feature_walks(
+        t in 1usize..9,
+        n in 1usize..12,
+        d_index in 0usize..6,
+        bt in 1usize..4,
+        bn in 1usize..5,
+        density in 0.0f64..0.6,
+        seed in any::<u64>(),
+    ) {
+        const FEATURES: [usize; 6] = [1, 17, 63, 64, 65, 130];
+        let shape = TensorShape::new(t, n, FEATURES[d_index % FEATURES.len()]);
+        let tensor = random_tensor(shape, density, seed);
+        let tags = TtbTags::from_tensor(&tensor, BundleShape::new(bt, bn));
+
+        let active = tags.active_per_feature();
+        let spikes = tags.spikes_per_feature();
+        prop_assert_eq!(&spikes, &tensor.per_feature_counts());
+        let walked: Vec<usize> = (0..shape.features).map(|d| tags.active_for_feature(d)).collect();
+        prop_assert_eq!(&active, &walked);
+
+        for threshold in [0, 1, 3, usize::MAX] {
+            let stratifier = Stratifier::new(threshold);
+            let split = stratifier.stratify_tags(&tensor, &tags);
+            prop_assert_eq!(&stratifier.partition(&active, &spikes), &split);
+            prop_assert_eq!(&split, &reference_split(&tensor, &tags, threshold));
+        }
+    }
 
     #[test]
     fn ttb_tags_match_reference(

@@ -73,12 +73,11 @@ impl StratifierUnit {
     /// features are simply kept on the dense core.
     fn balanced_threshold(
         &self,
-        tags: &TtbTags,
+        active_per_feature: &[usize],
         spikes_per_feature: &[usize],
         output_features: usize,
         weight_bits: usize,
     ) -> usize {
-        let active_per_feature = tags.active_per_feature();
         let volume = self.bundle.volume() as f64;
         let dense_peak = self.config.dense_peak_ops_per_cycle();
         let sparse_peak = self.config.sparse_peak_ops_per_cycle();
@@ -88,7 +87,7 @@ impl StratifierUnit {
 
         // Candidate thresholds are the distinct active-bundle counts; a
         // feature is dense when its count exceeds the threshold.
-        let mut candidates: Vec<usize> = active_per_feature.clone();
+        let mut candidates = active_per_feature.to_vec();
         candidates.push(0);
         candidates.sort_unstable();
         candidates.dedup();
@@ -131,53 +130,43 @@ impl StratifierUnit {
         weight_bits: usize,
         energy: &EnergyModel,
     ) -> StratifiedLayer {
+        // Each per-feature count is computed once, from the tags: every
+        // spike lies in exactly one bundle, so a feature's tags sum to its
+        // spike count.
         let tags = TtbTags::from_tensor(input, self.bundle);
         let features = input.shape().features;
-
-        let split = match self.policy {
-            StratifyPolicy::Balanced => {
-                let threshold = self.balanced_threshold(
-                    &tags,
-                    &input.per_feature_counts(),
-                    output_features,
-                    weight_bits,
-                );
-                Stratifier::new(threshold).stratify_tags(input, &tags)
-            }
-            StratifyPolicy::Fixed(threshold) => {
-                Stratifier::new(threshold).stratify_tags(input, &tags)
-            }
-            StratifyPolicy::TargetDenseFraction(fraction) => {
-                let threshold =
-                    Stratifier::threshold_for_dense_fraction(input, self.bundle, fraction);
-                Stratifier::new(threshold).stratify_tags(input, &tags)
-            }
-            StratifyPolicy::AllDense => {
-                // Threshold that nothing exceeds is impossible; instead use a
-                // stratifier with threshold 0 and then force every feature
-                // into the dense list (a feature with zero active bundles
-                // contributes no work either way).
-                let mut split = Stratifier::new(0).stratify_tags(input, &tags);
-                let sparse = std::mem::take(&mut split.sparse_features);
-                for d in sparse {
-                    split.dense_features.push(d);
-                }
-                split.dense_features.sort_unstable();
-                split.dense_active_bundles += split.sparse_active_bundles;
-                split.dense_spikes += split.sparse_spikes;
-                split.sparse_active_bundles = 0;
-                split.sparse_spikes = 0;
-                split
-            }
-            StratifyPolicy::AllSparse => {
-                let mut split = Stratifier::new(usize::MAX).stratify_tags(input, &tags);
-                debug_assert!(split.dense_features.is_empty());
-                split.sparse_features.sort_unstable();
-                split
-            }
-        };
-
         let active_per_feature = tags.active_per_feature();
+        let spikes_per_feature = tags.spikes_per_feature();
+
+        let threshold = match self.policy {
+            StratifyPolicy::Balanced => self.balanced_threshold(
+                &active_per_feature,
+                &spikes_per_feature,
+                output_features,
+                weight_bits,
+            ),
+            StratifyPolicy::Fixed(threshold) => threshold,
+            StratifyPolicy::TargetDenseFraction(fraction) => {
+                Stratifier::threshold_for_dense_fraction(input, self.bundle, fraction)
+            }
+            // Threshold 0 makes every feature with an active bundle dense;
+            // the rest are moved over below (a feature with zero active
+            // bundles contributes no work either way).
+            StratifyPolicy::AllDense => 0,
+            StratifyPolicy::AllSparse => usize::MAX,
+        };
+        let mut split =
+            Stratifier::new(threshold).partition(&active_per_feature, &spikes_per_feature);
+        if matches!(self.policy, StratifyPolicy::AllDense) {
+            let sparse = std::mem::take(&mut split.sparse_features);
+            split.dense_features.extend(sparse);
+            split.dense_features.sort_unstable();
+            split.dense_active_bundles += split.sparse_active_bundles;
+            split.dense_spikes += split.sparse_spikes;
+            split.sparse_active_bundles = 0;
+            split.sparse_spikes = 0;
+        }
+
         let slice = |feature_list: &[usize], active: usize, spikes: usize| RoutedSlice {
             feature_count: feature_list.len(),
             active_bundles: active,

@@ -17,6 +17,13 @@
 //! server cannot grow without limit; note that *when the working set
 //! exceeds the bound*, eviction order — and therefore the hit/miss split —
 //! can vary with worker timing.
+//!
+//! The bounds are memory budgets, not hit-rate targets. Under unique-seed
+//! traffic neither cache ever hits, so what a bound buys is only the
+//! resident set it pins: a cache fills at the rate requests arrive, and a
+//! process's peak RSS then tracks how many requests it has served until the
+//! bound is reached. [`DEFAULT_WORKLOAD_CAPACITY`] says why the workload
+//! bound is small.
 
 use std::collections::{HashMap, VecDeque};
 use std::hash::Hash;
@@ -28,9 +35,19 @@ use bishop_model::{ModelConfig, ModelWorkload};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-/// Default entry bound of a [`CalibrationCache`] (full workloads are the
-/// largest objects the runtime holds).
-pub const DEFAULT_WORKLOAD_CAPACITY: usize = 256;
+/// Default entry bound of a [`CalibrationCache`].
+///
+/// Full workloads are the largest objects the runtime holds: about 160 KB
+/// each for a serving-scale model at T = 8, so 256 entries pinned some
+/// 41 MB plus the heap fragmentation their churn leaves behind. The bound
+/// is sized to what reuse the cache actually gets, not to the request
+/// rate: unique-seed traffic never hits it, and a miss re-synthesises a
+/// workload in about a millisecond. 64 entries still cover reuse of a
+/// seed within a burst — the same workload simulated by another
+/// accelerator engine or under other ECP options. The result cache one
+/// level up keeps its larger bound ([`DEFAULT_RESULT_CAPACITY`]); its
+/// entries are per-layer metric vectors.
+pub const DEFAULT_WORKLOAD_CAPACITY: usize = 64;
 
 /// Default entry bound of a [`ResultCache`] (per-layer metric vectors;
 /// much smaller than workloads).

@@ -264,7 +264,7 @@ impl ModelWorkload {
                 block,
                 kind: LayerKind::QkvProjection,
                 label: format!("block{block}.P1"),
-                input: input.clone(),
+                input,
                 output_features: 3 * config.features,
                 weight_bits: config.weight_bits,
             }));

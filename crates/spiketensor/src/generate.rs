@@ -12,8 +12,40 @@
 //! * spatiotemporal clustering of spikes into bundles (firing is correlated
 //!   across adjacent tokens/timesteps, which is what makes Token-Time
 //!   Bundles effective).
+//!
+//! # Draw-order contract
+//!
+//! Every served simulator number (`core.sim.*` cycles, bytes and pJ) is a
+//! function of the exact bits these generators emit, so the random draws
+//! are part of their interface. [`SpikeTraceGenerator::generate`] consumes
+//! the generator's stream in this order and no other:
+//!
+//! 1. the feature densities, feature by feature (one silent-feature draw,
+//!    then one spread draw when the profile has a spread);
+//! 2. one hot/cold draw per spatiotemporal cluster, time-cluster-major;
+//! 3. one `next_u64` per position `(t, n, d)` whose feature density is
+//!    `> 0`, in the tensor's layout order (`t`, then `n`, then `d`).
+//!    Positions of silent features draw nothing.
+//!
+//! [`SpikeTraceGenerator::generate_with_feature_densities`] makes only the
+//! draws of step 3. A change may reorganise the work around the draws, but
+//! not add, drop or reorder one.
+//!
+//! # Threshold identity
+//!
+//! A position fires when `rng.gen_bool(p)` would return `true`, and
+//! `gen_bool(p)` is `unit_f64(x) < p` with `unit_f64(x) = (x >> 11) · 2⁻⁵³`.
+//! Both sides scale exactly by powers of two, so for every `p ∈ [0, 1]`
+//!
+//! ```text
+//! unit_f64(x) < p  ⇔  (x >> 11) < p · 2⁵³  ⇔  (x >> 11) < ⌈p · 2⁵³⌉
+//! ```
+//!
+//! The generators therefore turn each live feature's probability into an
+//! integer threshold once per tensor and compare raw words against it —
+//! no float conversion and no division per position.
 
-use rand::Rng;
+use rand::{Rng, RngCore};
 
 use crate::{SpikeTensor, TensorShape};
 
@@ -168,26 +200,37 @@ impl SpikeTraceGenerator {
         }
         let cold_scale = if boost > 1.0 { 0.15 } else { 1.0 };
 
-        SpikeTensor::from_fn(shape, |t, n, d| {
-            let base = feature_density[d];
+        // Each live feature's firing probability in a hot and in a cold
+        // cluster, as `gen_bool` thresholds.
+        let mut live = Vec::new();
+        let mut hot_thresholds = Vec::new();
+        let mut cold_thresholds = Vec::new();
+        for (d, &base) in feature_density.iter().enumerate() {
             if base <= 0.0 {
-                return false;
+                continue;
             }
-            let cluster_index = (t / cluster_t) * clusters_n + (n / cluster_n);
-            let p = if boost <= 1.0 {
-                base
-            } else if hot[cluster_index] {
-                (base * boost).min(1.0)
+            let (p_hot, p_cold) = if boost <= 1.0 {
+                (base, base)
             } else {
-                base * cold_scale
+                ((base * boost).min(1.0), base * cold_scale)
             };
-            rng.gen_bool(p.clamp(0.0, 1.0))
+            live.push(d);
+            hot_thresholds.push(bool_threshold(p_hot.clamp(0.0, 1.0)));
+            cold_thresholds.push(bool_threshold(p_cold.clamp(0.0, 1.0)));
+        }
+
+        fill_rows(shape, &live, rng, |t, n| {
+            if hot[(t / cluster_t) * clusters_n + n / cluster_n] {
+                &hot_thresholds
+            } else {
+                &cold_thresholds
+            }
         })
     }
 
     /// Generates a trace whose per-feature densities are given explicitly;
-    /// the profile's mean density and spread are ignored but its clustering
-    /// is applied. Used to replay measured per-feature statistics.
+    /// the profile is ignored (no spread and no clustering). Used to replay
+    /// measured per-feature statistics.
     pub fn generate_with_feature_densities<R: Rng>(
         &self,
         shape: TensorShape,
@@ -199,11 +242,83 @@ impl SpikeTraceGenerator {
             shape.features,
             "need one density per feature"
         );
-        SpikeTensor::from_fn(shape, |_, _, d| {
-            let p = densities[d].clamp(0.0, 1.0);
-            p > 0.0 && rng.gen_bool(p)
-        })
+        let mut live = Vec::new();
+        let mut thresholds = Vec::new();
+        for (d, density) in densities.iter().enumerate() {
+            let p = density.clamp(0.0, 1.0);
+            if p > 0.0 {
+                live.push(d);
+                thresholds.push(bool_threshold(p));
+            }
+        }
+        fill_rows(shape, &live, rng, |_, _| &thresholds)
     }
+}
+
+/// `2⁵³`, the resolution of `gen_bool`'s unit sample.
+const UNIT_SCALE: f64 = (1u64 << 53) as f64;
+
+/// The integer form of `gen_bool(p)`: for every word `x`,
+/// `(x >> 11) < bool_threshold(p)` exactly when `gen_bool(p)` drawing `x`
+/// returns `true` (see the module's threshold identity).
+///
+/// # Panics
+///
+/// Panics if `p` is outside `[0, 1]`, as `gen_bool` does.
+fn bool_threshold(p: f64) -> u64 {
+    assert!(
+        (0.0..=1.0).contains(&p),
+        "gen_bool probability {p} not in [0, 1]"
+    );
+    (p * UNIT_SCALE).ceil() as u64
+}
+
+/// Fills a tensor one `(t, n)` feature row at a time: each `live` feature
+/// (ascending) of the row draws one word and fires when it falls under the
+/// row's threshold for that feature (`thresholds(t, n)[i]` belongs to
+/// `live[i]`). Features not in `live` draw nothing and stay silent.
+///
+/// The live features of one 64-feature word of the row are assembled in a
+/// register and deposited into the plane with one OR (two when the word
+/// straddles plane words), so the per-position work is one draw, one
+/// compare and one shift.
+fn fill_rows<'a, R: RngCore + ?Sized>(
+    shape: TensorShape,
+    live: &[usize],
+    rng: &mut R,
+    thresholds: impl Fn(usize, usize) -> &'a [u64],
+) -> SpikeTensor {
+    // `(row word, end)`: `live[previous end..end]` lie in that row word.
+    let mut runs: Vec<(usize, usize)> = Vec::new();
+    for (i, &d) in live.iter().enumerate() {
+        match runs.last_mut() {
+            Some((word, end)) if *word == d / 64 => *end = i + 1,
+            _ => runs.push((d / 64, i + 1)),
+        }
+    }
+    SpikeTensor::from_plane_words(shape, |t, plane| {
+        for n in 0..shape.tokens {
+            let thresholds = thresholds(t, n);
+            let row = n * shape.features;
+            let mut start = 0;
+            for &(word, end) in &runs {
+                let mut bits = 0u64;
+                for (&d, &threshold) in live[start..end].iter().zip(&thresholds[start..end]) {
+                    let fired = (rng.next_u64() >> 11) < threshold;
+                    bits |= u64::from(fired) << (d % 64);
+                }
+                start = end;
+                let at = row + word * 64;
+                let (index, shift) = (at / 64, at % 64);
+                plane[index] |= bits << shift;
+                if shift != 0 {
+                    if let Some(next) = plane.get_mut(index + 1) {
+                        *next |= bits >> (64 - shift);
+                    }
+                }
+            }
+        }
+    })
 }
 
 /// Convenience: a purely Bernoulli trace with the given density (no feature
@@ -320,6 +435,49 @@ mod tests {
         let a = generator.generate(shape, &mut StdRng::seed_from_u64(1));
         let b = generator.generate(shape, &mut StdRng::seed_from_u64(1));
         assert_eq!(a, b);
+    }
+
+    #[test]
+    fn bool_threshold_agrees_with_gen_bool() {
+        // The vendored `gen_bool` is the definition; this pins the identity
+        // against a change on either side, at the boundary probabilities and
+        // one ulp either side of one half.
+        let half = 0.5f64;
+        let probabilities = [
+            0.0,
+            f64::from_bits(1),
+            1.0 / UNIT_SCALE,
+            f64::from_bits(half.to_bits() - 1),
+            half,
+            f64::from_bits(half.to_bits() + 1),
+            1.0 - 1.0 / UNIT_SCALE,
+            1.0,
+        ];
+        /// Hands `gen_bool` one chosen word.
+        struct Word(u64);
+        impl RngCore for Word {
+            fn next_u64(&mut self) -> u64 {
+                self.0
+            }
+        }
+
+        let mut words = StdRng::seed_from_u64(0x7E57);
+        for p in probabilities {
+            let threshold = bool_threshold(p);
+            // The words whose unit sample sits right at the threshold.
+            let edges = [threshold.saturating_sub(1), threshold, threshold + 1]
+                .into_iter()
+                .filter(|&k| k < 1 << 53)
+                .flat_map(|k| [k << 11, (k << 11) | 0x7FF]);
+            let random = (0..100_000).map(|_| words.next_u64());
+            for x in edges.chain(random) {
+                assert_eq!(
+                    (x >> 11) < threshold,
+                    Word(x).gen_bool(p),
+                    "p = {p:e}, x = {x:#x}"
+                );
+            }
+        }
     }
 
     #[test]
