@@ -10,7 +10,7 @@ use std::time::{Duration, Instant};
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use rand::SeedableRng;
 
-use bishop_bundle::{ecp, BundleShape, EcpConfig, Stratifier, TtbTags};
+use bishop_bundle::{ecp, AttentionSummary, BundleShape, EcpConfig, Stratifier, TtbTags};
 use bishop_core::{AttentionCoreModel, BishopConfig, BishopSimulator, SimOptions};
 use bishop_memsys::EnergyModel;
 use bishop_model::workload::SyntheticTraceSpec;
@@ -420,14 +420,17 @@ fn bench_attention_core_model(c: &mut Criterion) {
     let config = ModelConfig::new("bench", DatasetKind::ImageNet100, 1, 4, 96, 128, 4);
     let mut rng = rand::rngs::StdRng::seed_from_u64(6);
     let workload = ModelWorkload::synthetic(&config, &SyntheticTraceSpec::uniform(0.12), &mut rng);
-    let layer = workload.attention_layers().next().unwrap().clone();
+    let layer = AttentionSummary::from_workload(
+        workload.attention_layers().next().unwrap(),
+        BundleShape::default(),
+    );
     let core = AttentionCoreModel::new(&BishopConfig::default());
     let energy = EnergyModel::bishop_28nm();
     let mut group = c.benchmark_group("kernel_attention_core_model");
     group.sample_size(20);
     group.measurement_time(Duration::from_secs(2));
     group.bench_function("cost_of_one_layer", |b| {
-        b.iter(|| core.process(black_box(&layer), None, &energy))
+        b.iter(|| core.process(black_box(&layer), (1.0, 1.0), &energy))
     });
     group.finish();
 }

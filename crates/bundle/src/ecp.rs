@@ -15,7 +15,8 @@
 
 use bishop_spiketensor::SpikeTensor;
 
-use crate::ttb::{BundleShape, TtbTags};
+use crate::summary;
+use crate::ttb::{BundleShape, TtbGrid};
 
 /// ECP configuration: the pruning thresholds for queries and keys and the
 /// bundle shape used to form bundle rows.
@@ -127,30 +128,21 @@ pub fn apply(q: &SpikeTensor, k: &SpikeTensor, v: &SpikeTensor, config: EcpConfi
     assert_eq!(q.shape(), k.shape(), "Q and K must have the same shape");
     assert_eq!(q.shape(), v.shape(), "Q and V must have the same shape");
 
-    let q_tags = TtbTags::from_tensor(q, config.bundle);
-    let k_tags = TtbTags::from_tensor(k, config.bundle);
-    let grid = q_tags.grid();
-
-    let mut q_kept_rows = Vec::new();
-    let mut k_kept_rows = Vec::new();
-    for (bt, bn) in grid.iter_bundles() {
-        if q_tags.active_in_row(bt, bn) as u32 >= config.theta_q {
-            q_kept_rows.push((bt, bn));
-        }
-        if k_tags.active_in_row(bt, bn) as u32 >= config.theta_k {
-            k_kept_rows.push((bt, bn));
-        }
-    }
-
-    let keep_mask = |kept: &[(usize, usize)]| {
-        let mut mask = vec![false; grid.bundles_per_feature()];
-        for &(bt, bn) in kept {
-            mask[bt * grid.token_bundles() + bn] = true;
-        }
-        mask
+    let grid = TtbGrid::new(q.shape(), config.bundle);
+    let keep_mask = |tensor: &SpikeTensor, theta: u32| -> Vec<bool> {
+        summary::row_counts(tensor, config.bundle)
+            .into_iter()
+            .map(|n_ab| keeps(n_ab, theta))
+            .collect()
     };
-    let q_mask = keep_mask(&q_kept_rows);
-    let k_mask = keep_mask(&k_kept_rows);
+    let kept_rows = |mask: &[bool]| -> Vec<(usize, usize)> {
+        grid.iter_bundles()
+            .zip(mask)
+            .filter_map(|(row, &kept)| kept.then_some(row))
+            .collect()
+    };
+    let q_mask = keep_mask(q, config.theta_q);
+    let k_mask = keep_mask(k, config.theta_k);
 
     // Pruning drops whole feature rows, so the filter clears the packed row
     // words of every (t, n) in a pruned bundle row and copies nothing else.
@@ -175,14 +167,44 @@ pub fn apply(q: &SpikeTensor, k: &SpikeTensor, v: &SpikeTensor, config: EcpConfi
     let pruned_v = filter(v, &k_mask);
 
     EcpResult {
-        q_kept_rows,
-        k_kept_rows,
+        q_kept_rows: kept_rows(&q_mask),
+        k_kept_rows: kept_rows(&k_mask),
         total_rows: grid.bundles_per_feature(),
         pruned_q,
         pruned_k,
         pruned_v,
         config,
     }
+}
+
+/// Whether a bundle row with `n_ab` active bundles survives threshold
+/// `theta`: its scores can reach `theta` only if `n_ab >= theta`.
+fn keeps(n_ab: usize, theta: u32) -> bool {
+    n_ab >= theta as usize
+}
+
+/// The Q and K retentions ECP reaches under `config`, from the per-row
+/// active-bundle counts of Q and K (as in
+/// [`AttentionSummary`](crate::AttentionSummary)). Equal to
+/// `apply(q, k, v, config).{q,k}_retention()` of the tensors the counts were
+/// taken from, without touching them.
+///
+/// # Panics
+///
+/// Panics if the two count slices differ in length.
+pub fn retentions(q_rows: &[usize], k_rows: &[usize], config: EcpConfig) -> (f64, f64) {
+    assert_eq!(
+        q_rows.len(),
+        k_rows.len(),
+        "Q and K must have the same rows"
+    );
+    let retention = |rows: &[usize], theta: u32| {
+        rows.iter().filter(|&&n_ab| keeps(n_ab, theta)).count() as f64 / rows.len() as f64
+    };
+    (
+        retention(q_rows, config.theta_q),
+        retention(k_rows, config.theta_k),
+    )
 }
 
 /// Computes, by brute force, the maximum absolute error that pruning

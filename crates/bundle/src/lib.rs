@@ -3,8 +3,9 @@
 //! Token-Time Bundles (TTBs) and the HW/SW co-design algorithms built on
 //! them: bundle tagging, bundle-level sparsity statistics and the BSA
 //! (Bundle-Sparsity-Aware) shaping of activation traces, the dense/sparse
-//! workload stratifier (Alg. 1 of the paper), and Error-Constrained TTB
-//! Pruning (ECP) of spiking queries and keys.
+//! workload stratifier (Alg. 1 of the paper), Error-Constrained TTB
+//! Pruning (ECP) of spiking queries and keys, and the per-layer count
+//! summaries the accelerator cost model schedules.
 //!
 //! A TTB packs the binary spiking activations of `BSn` tokens over `BSt`
 //! timesteps for one feature column (Fig. 4 of the paper). It is the unit of
@@ -34,6 +35,7 @@ pub mod calibrate;
 pub mod ecp;
 pub mod sparsity;
 pub mod stratify;
+mod summary;
 pub mod ttb;
 
 pub use bsa::{bundle_sparsity_loss, bundle_sparsity_loss_reference, BsaEffect};
@@ -41,4 +43,5 @@ pub use calibrate::{DatasetCalibration, TrainingRegime};
 pub use ecp::{EcpConfig, EcpResult};
 pub use sparsity::BundleSparsityStats;
 pub use stratify::{StratifiedWorkload, Stratifier};
+pub use summary::{AttentionSummary, LayerSummary, ProjectionSummary};
 pub use ttb::{BundleShape, TtbGrid, TtbTags};

@@ -9,6 +9,7 @@
 
 use bishop_spiketensor::SpikeTensor;
 
+use crate::summary;
 use crate::ttb::{BundleShape, TtbTags};
 
 /// The dense/sparse partition produced by the stratifier for one layer.
@@ -139,20 +140,36 @@ impl Stratifier {
     }
 
     /// Picks the smallest threshold whose stratification routes at most
-    /// `target_dense_fraction` of the *features* to the dense core. This is
-    /// how the design-space exploration of Fig. 15 produces different
-    /// dense-to-sparse split ratios.
+    /// `target_dense_fraction` of the *features* of `tensor` to the dense
+    /// core: [`Stratifier::threshold_for_dense_fraction_counts`] of its
+    /// per-feature active-bundle counts.
     pub fn threshold_for_dense_fraction(
         tensor: &SpikeTensor,
         bundle: BundleShape,
+        target_dense_fraction: f64,
+    ) -> usize {
+        let (active, _) = summary::feature_counts(tensor, bundle);
+        Self::threshold_for_dense_fraction_counts(&active, target_dense_fraction)
+    }
+
+    /// Picks the smallest threshold whose stratification routes at most
+    /// `target_dense_fraction` of the features to the dense core, given
+    /// `active[d]` active bundles of feature `d`. This is how the
+    /// design-space exploration of Fig. 15 produces different dense-to-sparse
+    /// split ratios.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `target_dense_fraction` is outside `[0, 1]`.
+    pub fn threshold_for_dense_fraction_counts(
+        active: &[usize],
         target_dense_fraction: f64,
     ) -> usize {
         assert!(
             (0.0..=1.0).contains(&target_dense_fraction),
             "target fraction must be in [0, 1]"
         );
-        let tags = TtbTags::from_tensor(tensor, bundle);
-        let mut counts = tags.active_per_feature();
+        let mut counts = active.to_vec();
         counts.sort_unstable_by(|a, b| b.cmp(a));
         let dense_target = (target_dense_fraction * counts.len() as f64).round() as usize;
         if dense_target == 0 {

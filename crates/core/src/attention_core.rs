@@ -2,9 +2,8 @@
 //! array that computes spiking self-attention with AND-accumulate (mode 1)
 //! and select-accumulate (mode 2) units under an S-stationary dataflow.
 
-use bishop_bundle::EcpResult;
+use bishop_bundle::AttentionSummary;
 use bishop_memsys::{EnergyModel, MemoryTraffic};
-use bishop_model::AttentionWorkload;
 
 use crate::config::BishopConfig;
 use crate::metrics::CoreCost;
@@ -39,19 +38,18 @@ impl AttentionCoreModel {
         }
     }
 
-    /// Cost of executing one spiking self-attention layer, optionally after
-    /// ECP pruning (whose retention fractions shrink every term).
+    /// Cost of executing one spiking self-attention layer that keeps
+    /// `q_fraction` of its Q bundle rows and `k_fraction` of its K bundle
+    /// rows: both 1.0 without ECP, the retentions of
+    /// [`ecp::retentions`](bishop_bundle::ecp::retentions) with it. The
+    /// retentions shrink every term.
     pub fn process(
         &self,
-        layer: &AttentionWorkload,
-        ecp: Option<&EcpResult>,
+        layer: &AttentionSummary,
+        (q_fraction, k_fraction): (f64, f64),
         energy: &EnergyModel,
     ) -> AttentionCost {
-        let shape = layer.shape();
-        let (q_fraction, k_fraction) = match ecp {
-            Some(result) => (result.q_retention(), result.k_retention()),
-            None => (1.0, 1.0),
-        };
+        let shape = layer.shape;
 
         // Dense op counts: T · N² · D for S = Q·Kᵀ and the same for Y = S·V;
         // ECP scales rows by the Q retention and columns/V rows by the K
@@ -118,6 +116,7 @@ impl AttentionCoreModel {
 mod tests {
     use super::*;
     use bishop_bundle::{ecp, BundleShape, EcpConfig};
+    use bishop_model::AttentionWorkload;
     use bishop_spiketensor::{SpikeTraceGenerator, TensorShape, TraceProfile};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
@@ -140,6 +139,20 @@ mod tests {
         }
     }
 
+    fn summary(layer: &AttentionWorkload) -> AttentionSummary {
+        AttentionSummary::from_workload(layer, BundleShape::default())
+    }
+
+    /// The retentions ECP reaches on `layer` at threshold `theta`.
+    fn retentions(layer: &AttentionWorkload, theta: u32) -> (f64, f64) {
+        let summary = summary(layer);
+        ecp::retentions(
+            &summary.q_active_per_row,
+            &summary.k_active_per_row,
+            EcpConfig::uniform(theta, BundleShape::default()),
+        )
+    }
+
     fn model() -> AttentionCoreModel {
         AttentionCoreModel::new(&BishopConfig::default())
     }
@@ -147,7 +160,7 @@ mod tests {
     #[test]
     fn without_ecp_the_full_dense_work_is_done() {
         let layer = attention_workload(0.1, 0.1);
-        let result = model().process(&layer, None, &EnergyModel::bishop_28nm());
+        let result = model().process(&summary(&layer), (1.0, 1.0), &EnergyModel::bishop_28nm());
         assert_eq!(result.q_fraction, 1.0);
         assert_eq!(result.k_fraction, 1.0);
         assert_eq!(result.score_ops, layer.score_ops());
@@ -158,17 +171,11 @@ mod tests {
     fn ecp_shrinks_compute_and_traffic() {
         let layer = attention_workload(0.05, 0.03);
         let energy = EnergyModel::bishop_28nm();
-        let baseline = model().process(&layer, None, &energy);
+        let baseline = model().process(&summary(&layer), (1.0, 1.0), &energy);
         // At these densities a 64-feature bundle row carries ~21 (Q) / ~14 (K)
         // active bundles on average, so the threshold must sit above that for
         // the pruning path to actually remove rows.
-        let pruned = ecp::apply(
-            &layer.q,
-            &layer.k,
-            &layer.v,
-            EcpConfig::uniform(24, BundleShape::default()),
-        );
-        let with_ecp = model().process(&layer, Some(&pruned), &energy);
+        let with_ecp = model().process(&summary(&layer), retentions(&layer, 24), &energy);
         assert!(with_ecp.cost.ops < baseline.cost.ops);
         assert!(with_ecp.cost.compute_cycles <= baseline.cost.compute_cycles);
         assert!(with_ecp.cost.traffic.dram_read_bytes <= baseline.cost.traffic.dram_read_bytes);
@@ -179,15 +186,9 @@ mod tests {
     fn compute_scales_with_retention_product() {
         let layer = attention_workload(0.08, 0.08);
         let energy = EnergyModel::bishop_28nm();
-        let pruned = ecp::apply(
-            &layer.q,
-            &layer.k,
-            &layer.v,
-            EcpConfig::uniform(6, BundleShape::default()),
-        );
-        let with_ecp = model().process(&layer, Some(&pruned), &energy);
-        let expected =
-            (layer.score_ops() as f64 * pruned.q_retention() * pruned.k_retention()).ceil() as u64;
+        let (q_retention, k_retention) = retentions(&layer, 6);
+        let with_ecp = model().process(&summary(&layer), (q_retention, k_retention), &energy);
+        let expected = (layer.score_ops() as f64 * q_retention * k_retention).ceil() as u64;
         assert_eq!(with_ecp.score_ops, expected);
         assert_eq!(with_ecp.output_ops, expected);
     }
@@ -196,7 +197,7 @@ mod tests {
     fn cycles_respect_attention_core_throughput() {
         let config = BishopConfig::default();
         let layer = attention_workload(0.2, 0.2);
-        let result = model().process(&layer, None, &EnergyModel::bishop_28nm());
+        let result = model().process(&summary(&layer), (1.0, 1.0), &EnergyModel::bishop_28nm());
         let min_cycles =
             (result.cost.ops as f64 / config.attention_peak_ops_per_cycle()).floor() as u64;
         assert!(result.cost.compute_cycles >= min_cycles);
@@ -208,7 +209,7 @@ mod tests {
         // S-stationary: score traffic shows up only in registers/local
         // buffers, DRAM traffic is just the binary operands.
         let layer = attention_workload(0.15, 0.15);
-        let result = model().process(&layer, None, &EnergyModel::bishop_28nm());
+        let result = model().process(&summary(&layer), (1.0, 1.0), &EnergyModel::bishop_28nm());
         let bitmap_bytes = (layer.shape().len() as u64).div_ceil(8);
         assert_eq!(result.cost.traffic.dram_read_bytes, 3 * bitmap_bytes);
     }

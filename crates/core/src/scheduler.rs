@@ -1,9 +1,8 @@
 //! Layer-to-core scheduling: maps each workload layer onto the Bishop cores
 //! and combines the per-core costs into layer metrics.
 
-use bishop_bundle::{ecp, EcpConfig};
+use bishop_bundle::{ecp, AttentionSummary, EcpConfig, LayerSummary, ProjectionSummary};
 use bishop_memsys::{EnergyModel, MemoryHierarchy, MemoryTraffic};
-use bishop_model::{AttentionWorkload, LayerWorkload, ProjectionWorkload};
 
 use crate::attention_core::AttentionCoreModel;
 use crate::config::BishopConfig;
@@ -64,8 +63,9 @@ impl LayerScheduler {
         dram.max(glb)
     }
 
-    /// Schedules any workload layer, dispatching to the projection or
-    /// attention path. `ecp_config` only applies to attention layers.
+    /// Schedules any layer from its count summary, dispatching to the
+    /// projection or attention path. `ecp_config` only applies to attention
+    /// layers.
     ///
     /// This is the reusable per-layer entry point the serving runtime (and
     /// any other multi-tenant driver) uses: a `LayerScheduler` is immutable
@@ -73,24 +73,19 @@ impl LayerScheduler {
     /// and fed layers from different requests concurrently.
     pub fn schedule_layer(
         &self,
-        layer: &LayerWorkload,
+        layer: &LayerSummary,
         ecp_config: Option<EcpConfig>,
     ) -> LayerMetrics {
         match layer {
-            LayerWorkload::Projection(p) => self.schedule_projection(p),
-            LayerWorkload::Attention(a) => self.schedule_attention(a, ecp_config),
+            LayerSummary::Projection(p) => self.schedule_projection(p),
+            LayerSummary::Attention(a) => self.schedule_attention(a, ecp_config),
         }
     }
 
     /// Schedules an MLP/projection layer across the stratifier, dense core,
     /// sparse core and spike generator.
-    pub fn schedule_projection(&self, layer: &ProjectionWorkload) -> LayerMetrics {
-        let strat = self.stratifier.stratify(
-            &layer.input,
-            layer.output_features,
-            layer.weight_bits,
-            &self.energy,
-        );
+    pub fn schedule_projection(&self, layer: &ProjectionSummary) -> LayerMetrics {
+        let strat = self.stratifier.stratify(layer, &self.energy);
 
         let dense_cost = self.dense.process(
             &strat.dense,
@@ -105,7 +100,7 @@ impl LayerScheduler {
             &self.energy,
         );
 
-        let shape = layer.input.shape();
+        let shape = layer.shape;
         let neuron_updates = (shape.timesteps * shape.tokens * layer.output_features) as u64;
         let streams = usize::from(dense_cost.ops > 0) + usize::from(sparse_cost.ops > 0);
         let generator_cost =
@@ -116,7 +111,7 @@ impl LayerScheduler {
         // spike bitmap comes from DRAM once (packed TTBs), and the output
         // spike bitmap of the layer goes back out.
         let io_traffic = MemoryTraffic {
-            dram_read_bytes: layer.input.packed_bytes() as u64,
+            dram_read_bytes: layer.packed_bytes as u64,
             dram_write_bytes: neuron_updates.div_ceil(8),
             ..MemoryTraffic::new()
         };
@@ -151,18 +146,27 @@ impl LayerScheduler {
     }
 
     /// Schedules a spiking self-attention layer on the attention core,
-    /// optionally applying ECP with the given configuration first.
+    /// optionally pruning it with ECP under the given configuration first.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `ecp_config` forms bundle rows of another shape than the
+    /// summary's row counts.
     pub fn schedule_attention(
         &self,
-        layer: &AttentionWorkload,
+        layer: &AttentionSummary,
         ecp_config: Option<EcpConfig>,
     ) -> LayerMetrics {
-        let ecp_result = ecp_config.map(|cfg| ecp::apply(&layer.q, &layer.k, &layer.v, cfg));
-        let attention_cost = self
-            .attention
-            .process(layer, ecp_result.as_ref(), &self.energy);
+        let retention = ecp_config.map_or((1.0, 1.0), |cfg| {
+            assert_eq!(
+                cfg.bundle, layer.bundle,
+                "ECP rows must match the summary's"
+            );
+            ecp::retentions(&layer.q_active_per_row, &layer.k_active_per_row, cfg)
+        });
+        let attention_cost = self.attention.process(layer, retention, &self.energy);
 
-        let shape = layer.shape();
+        let shape = layer.shape;
         let neuron_updates = (shape.len() as f64 * attention_cost.q_fraction).ceil() as u64;
         let generator_cost = self
             .spike_generator
@@ -191,7 +195,7 @@ mod tests {
     use crate::config::StratifyPolicy;
     use bishop_bundle::BundleShape;
     use bishop_model::workload::SyntheticTraceSpec;
-    use bishop_model::{DatasetKind, LayerWorkload, ModelConfig, ModelWorkload};
+    use bishop_model::{DatasetKind, ModelConfig, ModelWorkload};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -209,18 +213,24 @@ mod tests {
         ModelWorkload::synthetic(&config, &SyntheticTraceSpec::uniform(density), &mut rng)
     }
 
-    fn first_projection(w: &ModelWorkload) -> &ProjectionWorkload {
-        w.projection_layers().next().unwrap()
+    fn first_projection(w: &ModelWorkload) -> ProjectionSummary {
+        ProjectionSummary::from_workload(
+            w.projection_layers().next().unwrap(),
+            BundleShape::default(),
+        )
     }
 
-    fn first_attention(w: &ModelWorkload) -> &AttentionWorkload {
-        w.attention_layers().next().unwrap()
+    fn first_attention(w: &ModelWorkload) -> AttentionSummary {
+        AttentionSummary::from_workload(
+            w.attention_layers().next().unwrap(),
+            BundleShape::default(),
+        )
     }
 
     #[test]
     fn projection_metrics_are_positive_and_labelled() {
         let w = workload(0.2);
-        let metrics = scheduler(BishopConfig::default()).schedule_projection(first_projection(&w));
+        let metrics = scheduler(BishopConfig::default()).schedule_projection(&first_projection(&w));
         assert!(metrics.latency_cycles > 0);
         assert!(metrics.total_energy_pj() > 0.0);
         assert_eq!(metrics.group, "P1");
@@ -231,8 +241,8 @@ mod tests {
     #[test]
     fn denser_workloads_cost_more() {
         let sched = scheduler(BishopConfig::default());
-        let sparse = sched.schedule_projection(first_projection(&workload(0.05)));
-        let dense = sched.schedule_projection(first_projection(&workload(0.4)));
+        let sparse = sched.schedule_projection(&first_projection(&workload(0.05)));
+        let dense = sched.schedule_projection(&first_projection(&workload(0.4)));
         assert!(dense.compute_cycles > sparse.compute_cycles);
         assert!(dense.total_energy_pj() > sparse.total_energy_pj());
     }
@@ -252,7 +262,7 @@ mod tests {
             cluster: (2, 4, 2.5),
         };
         let w = ModelWorkload::synthetic(&config, &spec, &mut rng);
-        let layer = first_projection(&w);
+        let layer = &first_projection(&w);
 
         let split = scheduler(
             BishopConfig::default().with_stratify(StratifyPolicy::TargetDenseFraction(0.5)),
@@ -272,7 +282,7 @@ mod tests {
     fn attention_with_ecp_is_cheaper() {
         let w = workload(0.08);
         let sched = scheduler(BishopConfig::default());
-        let layer = first_attention(&w);
+        let layer = &first_attention(&w);
         let baseline = sched.schedule_attention(layer, None);
         let pruned =
             sched.schedule_attention(layer, Some(EcpConfig::uniform(6, BundleShape::default())));
@@ -285,7 +295,7 @@ mod tests {
     fn layer_latency_accounts_for_memory_boundness() {
         let w = workload(0.01);
         let sched = scheduler(BishopConfig::default());
-        let metrics = sched.schedule_projection(first_projection(&w));
+        let metrics = sched.schedule_projection(&first_projection(&w));
         // With almost no spikes the layer is memory bound: latency tracks the
         // memory cycles, not the (tiny) compute.
         assert!(metrics.memory_cycles >= metrics.compute_cycles);
@@ -300,10 +310,10 @@ mod tests {
         let w = workload(0.15);
         let sched = scheduler(BishopConfig::default());
         for layer in w.layers() {
-            let metrics = match layer {
-                LayerWorkload::Projection(p) => sched.schedule_projection(p),
-                LayerWorkload::Attention(a) => sched.schedule_attention(a, None),
-            };
+            let metrics = sched.schedule_layer(
+                &LayerSummary::summarise(layer, BundleShape::default()),
+                None,
+            );
             assert!(
                 metrics.latency_cycles > 0,
                 "{} had zero latency",

@@ -1,6 +1,6 @@
 //! End-to-end Bishop simulation of a model workload.
 
-use bishop_bundle::EcpConfig;
+use bishop_bundle::{EcpConfig, LayerSummary};
 use bishop_memsys::{EnergyModel, MemoryHierarchy};
 use bishop_model::ModelWorkload;
 
@@ -88,7 +88,8 @@ impl BishopSimulator {
     }
 
     /// Simulates one inference of `workload` and returns the per-layer and
-    /// end-to-end metrics.
+    /// end-to-end metrics. Each layer is summarised into its counts under
+    /// the configured bundle shape and scheduled from them.
     pub fn simulate(&self, workload: &ModelWorkload, options: &SimOptions) -> RunMetrics {
         let name = match options.ecp_threshold {
             Some(theta) => format!("Bishop+ECP(θp={theta})"),
@@ -107,7 +108,8 @@ impl BishopSimulator {
         let ecp_config = self.ecp_config_for(options);
         let mut run = RunMetrics::new(name, self.config().clock_hz);
         for layer in workload.layers() {
-            run.push(self.scheduler.schedule_layer(layer, ecp_config));
+            let summary = LayerSummary::summarise(layer, self.config().bundle);
+            run.push(self.scheduler.schedule_layer(&summary, ecp_config));
         }
         run
     }

@@ -1,7 +1,7 @@
 //! Fig. 14 — accuracy vs. energy efficiency and speedup of the spiking
 //! self-attention layers under different ECP pruning thresholds.
 
-use bishop_bundle::{ecp, BundleShape, EcpConfig, TrainingRegime};
+use bishop_bundle::{ecp, AttentionSummary, BundleShape, EcpConfig, TrainingRegime};
 use bishop_core::{AttentionCoreModel, BishopConfig};
 use bishop_memsys::EnergyModel;
 use bishop_model::ModelConfig;
@@ -54,12 +54,16 @@ pub fn run_hardware(scale: ExperimentScale) -> Vec<EcpHardwarePoint> {
     for config in fig14_models() {
         let config = scale.scale_config(&config);
         let workload = build_workload(&config, TrainingRegime::Bsa, 77);
+        let layers: Vec<AttentionSummary> = workload
+            .attention_layers()
+            .map(|layer| AttentionSummary::from_workload(layer, bundle))
+            .collect();
 
         // Reference cost at θp = 0 (no pruning).
         let mut reference_cycles = 0u64;
         let mut reference_energy = 0.0f64;
-        for layer in workload.attention_layers() {
-            let cost = core.process(layer, None, &energy);
+        for layer in &layers {
+            let cost = core.process(layer, (1.0, 1.0), &energy);
             reference_cycles += cost.cost.compute_cycles;
             reference_energy += cost.cost.compute_energy_pj + cost.cost.traffic.energy_pj(&energy);
         }
@@ -69,28 +73,24 @@ pub fn run_hardware(scale: ExperimentScale) -> Vec<EcpHardwarePoint> {
             let mut total_energy = 0.0f64;
             let mut q_retention = 0.0;
             let mut k_retention = 0.0;
-            let mut layers = 0usize;
-            for layer in workload.attention_layers() {
-                let result = (threshold > 0).then(|| {
-                    ecp::apply(
-                        &layer.q,
-                        &layer.k,
-                        &layer.v,
-                        EcpConfig::uniform(threshold, bundle),
-                    )
-                });
-                let cost = core.process(layer, result.as_ref(), &energy);
+            for layer in &layers {
+                // θp = 0 keeps every row: both retentions are exactly 1.
+                let retention = ecp::retentions(
+                    &layer.q_active_per_row,
+                    &layer.k_active_per_row,
+                    EcpConfig::uniform(threshold, bundle),
+                );
+                let cost = core.process(layer, retention, &energy);
                 cycles += cost.cost.compute_cycles;
                 total_energy += cost.cost.compute_energy_pj + cost.cost.traffic.energy_pj(&energy);
-                q_retention += result.as_ref().map_or(1.0, |r| r.q_retention());
-                k_retention += result.as_ref().map_or(1.0, |r| r.k_retention());
-                layers += 1;
+                q_retention += retention.0;
+                k_retention += retention.1;
             }
             rows.push(EcpHardwarePoint {
                 model: config.name.clone(),
                 threshold,
-                q_retention: q_retention / layers as f64,
-                k_retention: k_retention / layers as f64,
+                q_retention: q_retention / layers.len() as f64,
+                k_retention: k_retention / layers.len() as f64,
                 ssa_speedup: reference_cycles as f64 / cycles.max(1) as f64,
                 ssa_energy_improvement: reference_energy / total_energy.max(1e-9),
             });

@@ -808,17 +808,18 @@ mod avx2 {
         let full = dst.len() / 8 * 8;
         let mut d = 0;
         while d < full {
+            // Every chunk is written, set bits or not: at spike densities of
+            // a few percent a zero-chunk test mispredicts and costs more
+            // than the store it would save.
             let byte = ((bits[d / 64] >> (d % 64)) & 0xff) as i32;
-            if byte != 0 {
-                let m = _mm256_cmpeq_epi32(
-                    _mm256_and_si256(_mm256_set1_epi32(byte), lane_bits),
-                    lane_bits,
-                );
-                let cur = _mm256_loadu_si256(dst.as_ptr().add(d) as *const __m256i);
-                // Integer add of (mask & 1) is exact: +1 where set, +0 where not.
-                let merged = _mm256_add_epi32(cur, _mm256_and_si256(m, one));
-                _mm256_storeu_si256(dst.as_mut_ptr().add(d) as *mut __m256i, merged);
-            }
+            let m = _mm256_cmpeq_epi32(
+                _mm256_and_si256(_mm256_set1_epi32(byte), lane_bits),
+                lane_bits,
+            );
+            let cur = _mm256_loadu_si256(dst.as_ptr().add(d) as *const __m256i);
+            // Integer add of (mask & 1) is exact: +1 where set, +0 where not.
+            let merged = _mm256_add_epi32(cur, _mm256_and_si256(m, one));
+            _mm256_storeu_si256(dst.as_mut_ptr().add(d) as *mut __m256i, merged);
             d += 8;
         }
         for b in d..dst.len() {
@@ -985,12 +986,11 @@ mod avx512 {
         let full = dst.len() / 16 * 16;
         let mut d = 0;
         while d < full {
+            // No zero-chunk skip, as on the AVX2 tier.
             let mask = ((bits[d / 64] >> (d % 64)) & 0xffff) as __mmask16;
-            if mask != 0 {
-                let cur = _mm512_loadu_si512(dst.as_ptr().add(d) as *const _);
-                let merged = _mm512_mask_add_epi32(cur, mask, cur, one);
-                _mm512_storeu_si512(dst.as_mut_ptr().add(d) as *mut _, merged);
-            }
+            let cur = _mm512_loadu_si512(dst.as_ptr().add(d) as *const _);
+            let merged = _mm512_mask_add_epi32(cur, mask, cur, one);
+            _mm512_storeu_si512(dst.as_mut_ptr().add(d) as *mut _, merged);
             d += 16;
         }
         for b in d..dst.len() {
